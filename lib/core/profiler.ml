@@ -49,6 +49,7 @@ let prepare_facts (prog : Vm.Program.t) =
   { f_analysis; f_dep; f_prune; f_refined; code_fp = Profile_io.fingerprint prog }
 
 let facts_fingerprint f = f.code_fp
+let facts_dep f = f.f_dep
 
 (* Build the instrumentation (hooks + a finisher that assembles the
    result); shared between the live run and offline trace replay.

@@ -58,6 +58,11 @@ val facts_fingerprint : facts -> string
 (** The {!Profile_io.fingerprint} of the program the facts were prepared
     for — the content-address the service's fact cache is keyed by. *)
 
+val facts_dep : facts -> Static.Depend.t
+(** The dependence analysis inside the facts, for sharing with
+    {!Ranking.rank} and {!Advice.advise} ([~dep]) so a workflow that
+    profiles, ranks and advises analyses the program once. *)
+
 val run :
   ?engine:Vm.Machine.engine ->
   ?regalloc:bool ->

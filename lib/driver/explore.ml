@@ -13,32 +13,60 @@ type t = {
 
 let explore ?fuel ?(cores = 4) ?spawn_overhead ?(top = 8) ?(min_share = 0.02)
     (prog : Vm.Program.t) =
-  let result = Alchemist.Profiler.run ?fuel prog in
-  let profile = result.Alchemist.Profiler.profile in
-  let instructions = result.Alchemist.Profiler.stats.Alchemist.Profiler.instructions in
-  let threshold = int_of_float (min_share *. float_of_int instructions) in
-  let entries =
-    Alchemist.Ranking.rank profile
-    |> List.filter (fun (e : Alchemist.Ranking.entry) ->
-           e.cid <> prog.cid_of_pc.(prog.funcs.(prog.main_fid).entry)
-           && e.ttotal >= threshold)
+  (* Profile, rank and advise with one static analysis. It is confined to
+     this scope, so it is unreachable while the candidates are simulated,
+     when every site's fold table is alive. *)
+  let profile, instructions, picked =
+    let facts = Alchemist.Profiler.prepare_facts prog in
+    let dep = Alchemist.Profiler.facts_dep facts in
+    let result = Alchemist.Profiler.run ?fuel ~facts prog in
+    let profile = result.Alchemist.Profiler.profile in
+    let instructions =
+      result.Alchemist.Profiler.stats.Alchemist.Profiler.instructions
+    in
+    let threshold = int_of_float (min_share *. float_of_int instructions) in
+    let entries =
+      Alchemist.Ranking.rank ~dep profile
+      |> List.filter (fun (e : Alchemist.Ranking.entry) ->
+             e.cid <> prog.cid_of_pc.(prog.funcs.(prog.main_fid).entry)
+             && e.ttotal >= threshold)
+    in
+    let picked =
+      List.filteri (fun i _ -> i < top) entries
+      |> List.map (fun (entry : Alchemist.Ranking.entry) ->
+             (entry, Alchemist.Advice.advise ~dep profile ~cid:entry.cid))
+    in
+    (profile, instructions, picked)
   in
+  (* Every candidate worth simulating shares one instrumented run. *)
+  let worth_simulating (advice : Alchemist.Advice.t) =
+    advice.Alchemist.Advice.verdict <> `Not_amenable
+  in
+  let reports =
+    Parsim.Speedup.analyze_many ?fuel ~cores ?spawn_overhead prog
+      (List.filter (fun (_, advice) -> worth_simulating advice) picked
+      |> List.map (fun ((entry : Alchemist.Ranking.entry), advice) ->
+             {
+               Parsim.Speedup.head_pc = prog.constructs.(entry.cid).head_pc;
+               privatize = Alchemist.Advice.privatization_list advice;
+               reduce = Alchemist.Advice.reduction_list advice;
+             }))
+  in
+  let unclaimed = ref reports in
   let candidates =
-    List.filteri (fun i _ -> i < top) entries
-    |> List.mapi (fun i (entry : Alchemist.Ranking.entry) ->
-           let advice = Alchemist.Advice.advise profile ~cid:entry.cid in
-           let simulated =
-             match advice.Alchemist.Advice.verdict with
-             | `Not_amenable -> None
-             | `Parallelizable | `Needs_transforms ->
-                 let head_pc = prog.constructs.(entry.cid).head_pc in
-                 Some
-                   (Parsim.Speedup.analyze ?fuel ~cores ?spawn_overhead
-                      ~privatize:(Alchemist.Advice.privatization_list advice)
-                      ~reduce:(Alchemist.Advice.reduction_list advice)
-                      prog ~head_pc)
-           in
-           { rank = i + 1; entry; advice; simulated })
+    List.mapi
+      (fun i (entry, advice) ->
+        let simulated =
+          if not (worth_simulating advice) then None
+          else
+            match !unclaimed with
+            | r :: rest ->
+                unclaimed := rest;
+                Some r
+            | [] -> assert false
+        in
+        { rank = i + 1; entry; advice; simulated })
+      picked
   in
   let sorted =
     List.stable_sort

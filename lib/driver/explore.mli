@@ -10,7 +10,14 @@
     of the top candidates derive {!Alchemist.Advice}; for candidates that
     are parallelizable (possibly after transforms), run the what-if
     simulator with the advice-derived privatization list; report
-    everything, best simulated speedup first. *)
+    everything, best simulated speedup first.
+
+    One call runs at most two instrumented executions whatever the
+    candidate count: the profiling run and, when some candidate is
+    simulated, one collection run that serves them all
+    ({!Parsim.Speedup.analyze_many}). The static analysis is prepared
+    once and shared by the profiler, the ranking and every advice
+    call. *)
 
 type candidate = {
   rank : int;  (** position in the size ranking (1-based) *)

@@ -20,7 +20,21 @@
     [sched.submitted] counter and [sched.queue_depth] /
     [sched.workers] gauges. Worker instruments live on their own
     domains, so snapshots are exact at quiescent points (after
-    {!drain}) and approximate — never torn — mid-flight. *)
+    {!drain}) and approximate — never torn — mid-flight.
+
+    What the counters count:
+    - [sched.submitted]: jobs accepted by {!submit};
+    - [sched.injected]: jobs taken out of the injector by a worker's
+      batch grab. Every submission enters through the injector, so once
+      drained, [injected = submitted];
+    - [sched.jobs]: jobs executed; once drained, [jobs = submitted];
+    - [sched.steals]: job {e movements} between worker deques. A grabbed
+      batch is parked in the grabbing worker's deque and siblings steal
+      from there, so one job can be counted by [injected] and then once
+      per steal that moves it: [steals] is a migration signal, not a
+      per-job origin, and [injected + steals] may exceed [jobs];
+    - [sched.steal_batches]: successful steal attempts, each moving at
+      least one job, so [steals >= steal_batches]. *)
 
 type t
 

@@ -1,8 +1,18 @@
 (** End-to-end parallelization what-if analysis (drives Table V).
 
-    [analyze] runs the collection pass for one chosen construct, applies
-    the requested privatizations, schedules on [cores] workers, and
-    reports sequential vs simulated-parallel time. *)
+    [analyze_many] runs one collection pass for any number of chosen
+    constructs, applies each one's requested privatizations, schedules
+    each on [cores] workers, and reports sequential vs simulated-parallel
+    time per construct; [analyze] is its one-construct case. *)
+
+type request = {
+  head_pc : int;  (** the construct to parallelize *)
+  privatize : string list;
+      (** globals given thread-local copies (drops WAR/WAW) *)
+  reduce : string list;
+      (** associative accumulators rewritten as per-thread partials (drops
+          all dependence kinds on them) *)
+}
 
 type report = {
   construct : string;  (** display name of the parallelized construct *)
@@ -22,6 +32,29 @@ type report = {
           the reported speedup is what the ordering constraints allow *)
 }
 
+val analyze_many :
+  ?fuel:int ->
+  ?trace_locals:bool ->
+  ?cores:int ->
+  ?spawn_overhead:int ->
+  ?join_overhead:int ->
+  ?legality:Static.Legality.t ->
+  ?race:Static.Race.t ->
+  Vm.Program.t ->
+  request list ->
+  report list
+(** One report per request, in request order, from a single instrumented
+    run ({!Task_graph.collect_many}). Each report equals what {!analyze}
+    gives for that request alone. [legality] adds the ranges the
+    transform-legality engine {e proves} removable for the loop at each
+    [head_pc] ({!Transform.legality_ranges}) — with no hand-named lists,
+    the simulation then drops exactly the proven-removable edges and
+    nothing else. [race] gates every drop on the static race detector:
+    when it calls a request's construct racy, no edges are dropped for
+    that request and its [race_refusal] carries the diagnostic.
+    @raise Invalid_argument for an unknown global name or a [head_pc]
+    that heads no construct. *)
+
 val analyze :
   ?fuel:int ->
   ?trace_locals:bool ->
@@ -35,16 +68,8 @@ val analyze :
   Vm.Program.t ->
   head_pc:int ->
   report
-(** [privatize] names globals given thread-local copies (drops WAR/WAW);
-    [reduce] names associative accumulators rewritten as per-thread
-    partials (drops all dependence kinds on them). [legality] adds the
-    ranges the transform-legality engine {e proves} removable for the
-    loop at [head_pc] ({!Transform.legality_ranges}) — with no
-    hand-named lists, the simulation then drops exactly the
-    proven-removable edges and nothing else. [race] gates every drop on
-    the static race detector: when it calls the construct at [head_pc]
-    racy, no edges are dropped and [report.race_refusal] carries the
-    diagnostic. *)
+(** The one-request case of {!analyze_many}; [privatize] and [reduce]
+    default to empty. *)
 
 val loop_head_at_line : Vm.Program.t -> int -> int
 (** pc of the loop construct headed at a source line.

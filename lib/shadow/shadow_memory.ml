@@ -105,28 +105,8 @@ let thread_free rn lo hi =
   done;
   rn.(((hi - 1) lsl 2) + 2) <- -1
 
-let create ?on_dep ?sink () =
+let create ?(sink = no_sink) () =
   let dummy = Node.make () in
-  let sink =
-    match (on_dep, sink) with
-    | None, None -> no_sink
-    | None, Some s -> s
-    | Some f, more ->
-        fun ~kind ~head_pc ~head_time ~head_node ~tail_pc ~tail_time
-            ~tail_node ~addr ->
-          f
-            {
-              Dependence.kind;
-              head = { Dependence.pc = head_pc; time = head_time; node = head_node };
-              tail = { Dependence.pc = tail_pc; time = tail_time; node = tail_node };
-              addr;
-            };
-          (match more with
-          | None -> ()
-          | Some s ->
-              s ~kind ~head_pc ~head_time ~head_node ~tail_pc ~tail_time
-                ~tail_node ~addr)
-  in
   let rn = Array.make (arena_cap lsl 2) 0 in
   thread_free rn 0 arena_cap;
   {

@@ -12,8 +12,7 @@
     address space is dense and bounded by live memory), per-pc read slots
     come from a reusable arena, and dependence edges are reported through
     an unboxed {!sink} callback instead of a materialized
-    {!Dependence.t} record. The boxed [on_dep] interface is kept as a
-    compatibility wrapper.
+    {!Dependence.t} record.
 
     {!clear_from} drops history for a released stack frame, relying on
     the VM's stack discipline (a released frame is always the top of the
@@ -44,10 +43,9 @@ type sink =
   unit
 (** Unboxed dependence report: one edge, no allocation. *)
 
-val create : ?on_dep:(Dependence.t -> unit) -> ?sink:sink -> unit -> t
-(** [on_dep] receives boxed {!Dependence.t} records (compatibility path,
-    allocates per edge); [sink] receives the same edges unboxed. Both may
-    be given; both are called per edge. *)
+val create : ?sink:sink -> unit -> t
+(** [sink] receives every dependence edge, unboxed; by default edges are
+    dropped (only the counters see them). *)
 
 val read :
   t -> addr:int -> pc:int -> time:int -> node:Indexing.Node.t -> unit

@@ -72,6 +72,21 @@ spills=$(dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
 [ "$spills" -eq 0 ] || { echo "regalloc spilled on gzip: $spills" >&2; exit 1; }
 echo "regalloc sanity: 0 spills on gzip"
 
+# Explore goldens: `explore` must print exactly the transcripts saved
+# in test/golden. They were recorded when every simulated candidate
+# still got an instrumented run of its own; one shared collection run
+# now serves all candidates and must not change a byte.
+for spec in par2:64 aes:1024 delaunay:8000; do
+  name=$(echo "$spec" | tr ':' '-')
+  dune exec --no-build -- alchemist explore "workload:$spec" \
+    > "$tmpdir/explore-$name.txt"
+  if ! cmp "$tmpdir/explore-$name.txt" "test/golden/explore-$name.txt"; then
+    echo "explore transcript for $spec diverged from test/golden" >&2
+    exit 1
+  fi
+done
+echo "explore goldens: transcripts byte-identical"
+
 # Static checker over every registry workload: CFA validation
 # (Cfa.Analysis.validate — any discrepancy fails), prune-on/prune-off
 # byte-identity, profile round-trip, and the dynamic-profile sanitizer —

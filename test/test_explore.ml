@@ -143,6 +143,75 @@ let test_explore_printable () =
   let s = Format.asprintf "%a" Explore.pp t in
   Alcotest.(check bool) "renders" true (String.length s > 40)
 
+(* Explore step by step, as it ran before candidates shared a collection
+   run: a plain profile, ranking and advice that each analyse the program
+   themselves, and one [Speedup.analyze] — one instrumented run — per
+   simulated candidate. *)
+let replay ~cores ~top (prog : Vm.Program.t) =
+  let r = Alchemist.Profiler.run prog in
+  let profile = r.Alchemist.Profiler.profile in
+  let instructions = r.Alchemist.Profiler.stats.Alchemist.Profiler.instructions in
+  let threshold = int_of_float (0.02 *. float_of_int instructions) in
+  let main_cid = prog.cid_of_pc.(prog.funcs.(prog.main_fid).entry) in
+  let candidates =
+    Alchemist.Ranking.rank profile
+    |> List.filter (fun (e : Alchemist.Ranking.entry) ->
+           e.cid <> main_cid && e.ttotal >= threshold)
+    |> List.filteri (fun i _ -> i < top)
+    |> List.mapi (fun i (entry : Alchemist.Ranking.entry) ->
+           let advice = Advice.advise profile ~cid:entry.cid in
+           let simulated =
+             match advice.Advice.verdict with
+             | `Not_amenable -> None
+             | `Parallelizable | `Needs_transforms ->
+                 Some
+                   (Parsim.Speedup.analyze ~cores
+                      ~privatize:(Advice.privatization_list advice)
+                      ~reduce:(Advice.reduction_list advice)
+                      prog ~head_pc:prog.constructs.(entry.cid).head_pc)
+           in
+           { Explore.rank = i + 1; entry; advice; simulated })
+  in
+  let speedup (c : Explore.candidate) =
+    match c.Explore.simulated with
+    | Some r -> r.Parsim.Speedup.speedup
+    | None -> neg_infinity
+  in
+  {
+    Explore.candidates =
+      List.stable_sort (fun a b -> compare (speedup b) (speedup a)) candidates;
+    instructions;
+    profile;
+  }
+
+let test_explore_equals_replay name () =
+  let w = Workloads.Registry.find name in
+  let prog = Workloads.Workload.compile w ~scale:w.Workloads.Workload.test_scale in
+  let t = Explore.explore ~cores:4 ~top:6 prog in
+  let r = replay ~cores:4 ~top:6 prog in
+  Alcotest.(check string) "transcript"
+    (Format.asprintf "%a" Explore.pp r)
+    (Format.asprintf "%a" Explore.pp t);
+  Alcotest.(check int) "instructions" r.Explore.instructions t.Explore.instructions;
+  Alcotest.(check string) "profile"
+    (Alchemist.Profile_io.to_string r.Explore.profile)
+    (Alchemist.Profile_io.to_string t.Explore.profile);
+  Alcotest.(check int) "candidates" (List.length r.Explore.candidates)
+    (List.length t.Explore.candidates);
+  List.iter2
+    (fun (a : Explore.candidate) (b : Explore.candidate) ->
+      let what = a.Explore.entry.Alchemist.Ranking.name in
+      Alcotest.(check int) (what ^ ": rank") a.Explore.rank b.Explore.rank;
+      Alcotest.(check bool) (what ^ ": entry") true
+        (a.Explore.entry = b.Explore.entry);
+      Alcotest.(check bool) (what ^ ": advice") true
+        (a.Explore.advice = b.Explore.advice);
+      Alcotest.(check bool)
+        (what ^ ": simulated report, every field")
+        true
+        (a.Explore.simulated = b.Explore.simulated))
+    r.Explore.candidates t.Explore.candidates
+
 let suite =
   [
     ("finds parallel loop", `Quick, test_explore_finds_parallel_loop);
@@ -151,3 +220,9 @@ let suite =
     ("end-to-end on bzip2", `Slow, test_explore_on_bzip2);
     ("printable", `Quick, test_explore_printable);
   ]
+  @ List.map
+      (fun name ->
+        ( "equals a step-by-step replay: " ^ name,
+          `Quick,
+          test_explore_equals_replay name ))
+      [ "bzip2"; "ogg"; "par2"; "aes"; "delaunay" ]

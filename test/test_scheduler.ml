@@ -131,9 +131,16 @@ let test_telemetry_invariants () =
   check Alcotest.int "every submission executed exactly once" n
     (count "sched.jobs");
   check Alcotest.int "submitted counter" n (count "sched.submitted");
-  (* every job reaches a worker via the injector or a steal *)
-  check Alcotest.int "injected + stolen = executed" n
-    (count "sched.injected" + count "sched.steals");
+  (* every job enters through the injector exactly once; a steal moves a
+     job between deques, possibly one already counted as injected, so
+     steals count movements and are bounded below by their batches *)
+  check Alcotest.int "injected = submitted" (count "sched.submitted")
+    (count "sched.injected");
+  check Alcotest.int "injected = executed" (count "sched.jobs")
+    (count "sched.injected");
+  check Alcotest.bool "steals >= steal batches" true
+    (count "sched.steals" >= count "sched.steal_batches"
+    && count "sched.steal_batches" >= 0);
   check Alcotest.bool "latency histogram saw every job" true
     (match Obs.find snap "sched.job_latency_ns" with
     | Some (Obs.Dist { count = c; _ }) -> c = n

@@ -7,7 +7,7 @@ let node () = Indexing.Node.make ()
 
 let collect () =
   let deps = ref [] in
-  let sm = SM.create ~on_dep:(fun d -> deps := d :: !deps) () in
+  let sm = SM.create ~sink:(Testutil.boxing_sink (fun d -> deps := d :: !deps)) () in
   (sm, fun () -> List.rev !deps)
 
 let kinds ds = List.map (fun d -> d.Dep.kind) ds
@@ -252,7 +252,7 @@ let test_random_sequences_qcheck () =
   in
   let prop ops =
     let deps = ref [] in
-    let sm = SM.create ~on_dep:(fun d -> deps := d :: !deps) () in
+    let sm = SM.create ~sink:(Testutil.boxing_sink (fun d -> deps := d :: !deps)) () in
     let n = node () in
     let last_write = Array.make 5 None in
     let time = ref 0 in

@@ -226,7 +226,7 @@ let test_gzip_no_waw_on_outbuf () =
       if d.addr = outcnt_addr then incr outcnt_waw
     end
   in
-  let shadow = Shadow.Shadow_memory.create ~on_dep () in
+  let shadow = Shadow.Shadow_memory.create ~sink:(Testutil.boxing_sink on_dep) () in
   let enclosing () = Option.get (Indexing.Index_tree.top tree) in
   let hooks =
     {
