@@ -109,30 +109,21 @@ let regalloc_arg =
     value & opt bool true
     & info [ "regalloc" ] ~docv:"BOOL"
         ~doc:"Run the register engine's graph-coloring allocator (default \
-              on). Only meaningful with $(b,--engine=register); the profile \
-              is byte-identical either way.")
-
-let ring_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "ring" ] ~docv:"BOOL"
-        ~doc:"Deliver hook events through the register engine's batched \
-              event ring (default on). Only meaningful with \
-              $(b,--engine=register); the profile is byte-identical either \
-              way.")
+              on; ignored by $(b,--engine=switch)). The profile is \
+              byte-identical either way.")
 
 let engine_arg =
   Arg.(
     value
     & opt
         (enum
-           [
-             ("threaded", Vm.Machine.Threaded); ("switch", Vm.Machine.Switch);
-             ("register", Vm.Machine.Register);
-           ])
-        Vm.Machine.Threaded
+           [ ("register", Vm.Machine.Register); ("switch", Vm.Machine.Switch) ])
+        Vm.Machine.Register
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"VM execution engine: $(b,threaded) (closure-threaded with               superinstruction fusion, the default), $(b,switch) (the               reference interpreter), or $(b,register) (stack bytecode               compiled to an allocated register IR). All three produce               identical results and profiles.")
+        ~doc:"VM execution engine: $(b,register) (stack bytecode compiled \
+              to an allocated register IR, with batched hook delivery; the \
+              default) or $(b,switch) (the reference interpreter). Both \
+              produce identical results and profiles.")
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -189,11 +180,11 @@ let profile_cmd =
                 $(b,json).")
   in
   let profile spec fuel top edges kinds trace_locals save telemetry fold warn
-      static_prune legality race engine regalloc ring =
+      static_prune legality race engine regalloc =
     handle_errors (fun () ->
         let prog = load_program ~fold ~warn spec in
         let r =
-          Alchemist.Profiler.run ~engine ~regalloc ~ring ~fuel ~trace_locals
+          Alchemist.Profiler.run ~engine ~regalloc ~fuel ~trace_locals
             ~static_prune ~legality ~race prog
         in
         Option.iter
@@ -238,7 +229,7 @@ let profile_cmd =
     Term.(
       const profile $ src_arg $ fuel_arg $ top $ edges $ kinds $ trace_locals
       $ save $ telemetry $ fold_arg $ warn_arg $ static_prune_arg
-      $ legality_arg $ race_arg $ engine_arg $ regalloc_arg $ ring_arg)
+      $ legality_arg $ race_arg $ engine_arg $ regalloc_arg)
 
 (* --- rank ---------------------------------------------------------------- *)
 
@@ -685,9 +676,8 @@ let serve_cmd =
            `S Manpage.s_description;
            `P
              "Each request line is $(b,SPEC [fuel=N] \
-              [engine=switch|threaded|register] [ring=B] [regalloc=B] \
-              [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N] \
-              [save=PATH]) where SPEC is workload:NAME[:SCALE] or a Mini-C \
+              [engine=switch|register] [regalloc=B] [trace_locals=B] \
+              [prune=B] [pool_capacity=N] [scan_limit=N] [save=PATH]) where SPEC is workload:NAME[:SCALE] or a Mini-C \
               file. A request whose profile-determining inputs (program \
               code, global data, fuel, trace_locals, pool) match a cached \
               run is answered from the cache without profiling — engine \

@@ -68,7 +68,16 @@ let run ?fuel ?(trace_locals = false) (prog : Vm.Program.t) =
         (fun ~base ~size -> Pair_shadow.clear_range sm ~base ~size);
     }
   in
-  let r = Vm.Machine.run_hooked ~trace_locals ?fuel hooks prog in
+  (* The clock is the only per-instruction state: hand the engine the
+     bulk contract and let every segment ride on the event stamps. *)
+  let clock =
+    {
+      Ir.Engine.instr_range = (fun ~lo ~hi -> time := !time + (hi - lo + 1));
+      range_has_target = (fun ~lo:_ ~hi:_ -> false);
+      set_time = (fun t -> time := t);
+    }
+  in
+  let r = Ir.Engine.run_hooked ~trace_locals ~clock ?fuel hooks prog in
   let edges =
     Hashtbl.fold
       (fun (head_pc, tail_pc, kind, head_ctx) (s : stats) acc ->

@@ -153,19 +153,22 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
       invalid_arg "Profiler: memory event outside any construct"
     else Indexing.Index_tree.peek tree
   in
-  (* The bulk clock sink for the register engine's event ring: a drained
-     Instr_range event covers a whole IR segment, and ranges that Rules
-     proves free of construct joins advance the clock in one add instead
-     of seg_len hook calls. Exactly equivalent to per-pc [on_instr].
-     [range_has_target] and [set_time] together opt the profiler into
-     the ring's thinned stream: segments with no rule-(5) join point are
-     elided from the ring entirely, and their clock advance is restored
-     from the stamps carried by the events around them. *)
-  let instr_range ~lo ~hi = Indexing.Rules.on_instr_range rules ~lo ~hi in
-  let range_has_target ~lo ~hi =
-    Indexing.Rules.range_has_target rules ~lo ~hi
+  (* The register engine's clock contract (Ir.Engine.clock): a drained
+     range covers a whole IR segment, and ranges that Rules proves free
+     of construct joins advance the clock in one add instead of seg_len
+     hook calls — exactly equivalent to per-pc [on_instr]. Segments with
+     no rule-(5) join point are elided from the ring entirely, and their
+     clock advance is restored from the stamps carried by the events
+     around them. *)
+  let clock =
+    {
+      Ir.Engine.instr_range =
+        (fun ~lo ~hi -> Indexing.Rules.on_instr_range rules ~lo ~hi);
+      range_has_target =
+        (fun ~lo ~hi -> Indexing.Rules.range_has_target rules ~lo ~hi);
+      set_time = Indexing.Index_tree.set_now tree;
+    }
   in
-  let set_time n = Indexing.Index_tree.set_now tree n in
   let hooks =
     {
       Vm.Hooks.on_instr = (fun ~pc -> Indexing.Rules.on_instr rules ~pc);
@@ -252,13 +255,13 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
     in
     { profile; stats; run; obs = reg }
   in
-  (hooks, (instr_range, range_has_target, set_time), finish, dep)
+  (hooks, clock, finish, dep)
 
-let run ?(engine = Vm.Machine.Threaded) ?regalloc ?ring ?fuel ?scan_limit
+let run ?(engine = Vm.Machine.Register) ?regalloc ?fuel ?scan_limit
     ?pool_capacity ?obs ?facts ?(trace_locals = false) ?(static_prune = true)
     ?legality ?race (prog : Vm.Program.t) =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let hooks, (instr_range, range_has_target, set_time), finish, dep =
+  let hooks, clock, finish, dep =
     make ?scan_limit ?pool_capacity ~obs:reg ?facts ~static:(not trace_locals)
       ?legality ?race prog
   in
@@ -288,21 +291,17 @@ let run ?(engine = Vm.Machine.Threaded) ?regalloc ?ring ?fuel ?scan_limit
   in
   let r =
     finish
-      (Ir.Engine.run_hooked ~engine ?regalloc ?ring ~instr_range
-         ~range_has_target ~set_time ~trace_locals ?prune ?fuel ~obs:reg hooks
-         prog)
+      (Ir.Engine.run_hooked ~engine ?regalloc ~clock ~trace_locals ?prune
+         ?fuel ~obs:reg hooks prog)
   in
   (* Record which engine produced the events, so benchmark telemetry is
-     self-describing (0 = switch, 1 = threaded, 2 = register). The
-     register engine additionally publishes ir.* gauges through [reg].
-     Differential telemetry comparisons filter these out — see
-     test/test_engines.ml. *)
+     self-describing (0 = switch, 2 = register; published codes never
+     change meaning). The register engine additionally publishes ir.*
+     gauges through [reg]. Differential telemetry comparisons filter
+     these out — see test/test_engines.ml. *)
   Obs.Gauge.set
     (Obs.Registry.gauge r.obs "vm.engine")
-    (match engine with
-    | Vm.Machine.Switch -> 0
-    | Vm.Machine.Threaded -> 1
-    | Vm.Machine.Register -> 2);
+    (match engine with Vm.Machine.Switch -> 0 | Vm.Machine.Register -> 2);
   r
 
 let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
@@ -311,7 +310,7 @@ let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
      event set — and then it must: the online/offline differential
      (test_trace) byte-compares the two profiles, verdict lines
      included. *)
-  let hooks, _ring_sinks, finish, _dep =
+  let hooks, _clock, finish, _dep =
     make ?scan_limit ?pool_capacity ?obs
       ~static:(not (Vm.Trace.traced_locals trace))
       prog
@@ -319,8 +318,8 @@ let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
   Vm.Trace.replay trace hooks;
   finish (Vm.Trace.result trace)
 
-let run_source ?engine ?ring ?fuel ?scan_limit ?pool_capacity ?obs
-    ?trace_locals ?static_prune ?legality ?race src =
-  run ?engine ?ring ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
+let run_source ?engine ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
+    ?static_prune ?legality ?race src =
+  run ?engine ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
     ?static_prune ?legality ?race
     (Vm.Compile.compile_source src)

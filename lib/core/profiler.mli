@@ -66,7 +66,6 @@ val facts_dep : facts -> Static.Depend.t
 val run :
   ?engine:Vm.Machine.engine ->
   ?regalloc:bool ->
-  ?ring:bool ->
   ?fuel:int ->
   ?scan_limit:int ->
   ?pool_capacity:int ->
@@ -80,29 +79,29 @@ val run :
   result
 (** Profiles one execution.
 
-    [engine] selects the VM execution engine (default
-    {!Vm.Machine.Threaded}); all engines feed the profiler the exact
-    same event stream, so the profile is engine-independent
-    (differentially tested). The engine used is recorded in telemetry as
-    the [vm.engine] gauge (0 = switch, 1 = threaded, 2 = register).
+    The run executes on the register engine: hook events are appended
+    to a flat event ring drained in bulk ({!Ir.Ring}), segment clock
+    advances are batched through {!Indexing.Rules.on_instr_range}, and
+    segments with no construct join point are elided from the ring (the
+    {!Ir.Engine.clock} contract). [engine] exists as the test reference:
+    {!Vm.Machine.Switch} runs the reference interpreter with
+    per-instruction delivery, and the profile and all non-[ir.*]
+    telemetry are byte-identical to the default's (differentially
+    tested). The engine used is recorded in telemetry as the
+    [vm.engine] gauge (0 = switch, 2 = register).
     [regalloc] (default [true]) only affects the register engine: when
     [false] the register IR runs on the identity vreg mapping instead of
     the colored window — the ablation the bench measures; observable
     results are unchanged either way.
-    [ring] (default [true]) likewise only affects the register engine:
-    when on, hook events are appended to a flat event ring drained in
-    bulk ({!Ir.Ring}), with segment clock advances batched through
-    {!Indexing.Rules.on_instr_range}; when [false] every event is
-    delivered directly at its instruction. The profile and all
-    non-[ir.*] telemetry are byte-identical either way (differentially
-    tested) — only the hook-delivery cost changes.
     [facts] supplies precomputed static facts ({!prepare_facts}) so the
     run skips the CFA and dependence analyses — the profile is
     byte-identical with or without it; passing facts prepared for a
     program with different code raises [Invalid_argument].
     [pool_capacity] (default 1M, the paper's setting) controls index-node
     retention; [trace_locals] (default [false]) additionally tracks scalar
-    frame slots as memory — see {!Vm.Machine.run_hooked}. [obs] supplies
+    frame slots as memory — see {!Vm.Machine.run_hooked}; such runs
+    execute on the switch interpreter, since the register IR does not
+    model local events ({!Ir.Engine}). [obs] supplies
     the registry telemetry is registered into (so a caller can add its own
     metrics, e.g. the sharded driver's per-shard timers); by default each
     run gets a private registry — runs never share instruments, which is
@@ -144,7 +143,6 @@ val run_trace :
 
 val run_source :
   ?engine:Vm.Machine.engine ->
-  ?ring:bool ->
   ?fuel:int ->
   ?scan_limit:int ->
   ?pool_capacity:int ->

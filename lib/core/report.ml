@@ -121,7 +121,16 @@ let render ?(top = 10) ?(max_edges = 8) ?(kinds = [ Shadow.Dependence.Raw ])
     (t : Profile.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "Profile\n";
-  let entries = Ranking.rank t in
+  (* Of the ranking's columns, render prints only the race tag. A
+     version-5 profile stores the race statuses, so it is ranked as a
+     verdict-less profile is — without running the static analysis. A
+     profile with verdicts but no race block (versions 2-4) takes its
+     tags from a fresh analysis, as it always has. *)
+  let entries =
+    match (t.Profile.static_race, t.Profile.static_verdicts) with
+    | None, Some _ -> Ranking.rank ~dep:(Static.Depend.analyze t.prog) t
+    | _ -> Ranking.rank { t with Profile.static_verdicts = None }
+  in
   List.iteri
     (fun i (e : Ranking.entry) ->
       if i < top then begin

@@ -34,7 +34,6 @@ val merge_profiles : Alchemist.Profile.t list -> Alchemist.Profile.t
 val profile_programs :
   ?jobs:int ->
   ?engine:Vm.Machine.engine ->
-  ?ring:bool ->
   ?fuel:int ->
   ?trace_locals:bool ->
   ?static_prune:bool ->
@@ -49,10 +48,10 @@ val profile_programs :
     When [obs] is given, the driver records a ["driver.merge_wall"] timer
     around the merge fold and a ["driver.shards"] counter into it (shard
     telemetry itself stays per-run; see {!profile_registry}).
-    [engine] selects the VM engine per shard (default
-    threaded; profiles are engine-independent). [ring] and [static_prune]
-    are passed through to {!Alchemist.Profiler.run} (default on; profiles
-    are byte-identical either way). Ring telemetry counters ([ir.*]) are
+    [engine] and [static_prune] are passed through to
+    {!Alchemist.Profiler.run} (defaults: the register engine, pruning
+    on; profiles are byte-identical either way). Ring telemetry counters
+    ([ir.*]) are
     ordinary registry instruments, so shard snapshots merge with
     {!Obs.merge_all} like every other counter — merge order never
     changes a merged total (the qcheck merge laws in test_obs cover
@@ -64,7 +63,6 @@ val profile_registry :
   ?sched:Scheduler.t ->
   ?jobs:int ->
   ?engine:Vm.Machine.engine ->
-  ?ring:bool ->
   ?fuel:int ->
   ?static_prune:bool ->
   ?scale_of:(Workloads.Workload.t -> int) ->

@@ -81,7 +81,7 @@ let facts_for t prog code_fp =
 
 (* --- submission ----------------------------------------------------------- *)
 
-let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
+let submit t ?fuel ?engine ?regalloc
     ?(trace_locals = false) ?static_prune ?pool_capacity ?scan_limit ?save
     ~spec prog =
   t.seq <- t.seq + 1;
@@ -105,7 +105,7 @@ let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
       let promise =
         Scheduler.submit t.sched (fun () ->
             let r =
-              Alchemist.Profiler.run ~engine ?ring ?regalloc ?fuel ?facts
+              Alchemist.Profiler.run ?engine ?regalloc ?fuel ?facts
                 ~trace_locals ?static_prune ?pool_capacity ?scan_limit prog
             in
             Alchemist.Profile_io.to_string r.Alchemist.Profiler.profile)
@@ -115,9 +115,8 @@ let submit t ?fuel ?(engine = Vm.Machine.Threaded) ?ring ?regalloc
 (* --- request lines -------------------------------------------------------- *)
 
 (* Grammar (one request per line):
-     <spec> [fuel=N] [engine=switch|threaded|register] [ring=B] [regalloc=B]
-            [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N]
-            [save=PATH]
+     <spec> [fuel=N] [engine=switch|register] [regalloc=B] [trace_locals=B]
+            [prune=B] [pool_capacity=N] [scan_limit=N] [save=PATH]
    where <spec> is workload:NAME[:SCALE] or a Mini-C file path, and B is
    0/1/true/false. Blank lines and #-comments are skipped; the bare word
    "drain" is a control line handled by the caller. *)
@@ -163,8 +162,7 @@ let feed t line =
     in
     match
       let fuel = ref None
-      and engine = ref Vm.Machine.Threaded
-      and ring = ref None
+      and engine = ref None
       and regalloc = ref None
       and trace_locals = ref false
       and static_prune = ref None
@@ -181,14 +179,11 @@ let feed t line =
               match k with
               | "fuel" -> fuel := Some (parse_int k v)
               | "engine" -> (
-                  match v with
-                  | "switch" -> engine := Vm.Machine.Switch
-                  | "threaded" -> engine := Vm.Machine.Threaded
-                  | "register" -> engine := Vm.Machine.Register
-                  | _ ->
+                  match Vm.Machine.engine_of_string v with
+                  | Some e -> engine := Some e
+                  | None ->
                       raise
                         (Bad_request (Printf.sprintf "engine: unknown %S" v)))
-              | "ring" -> ring := Some (parse_bool k v)
               | "regalloc" -> regalloc := Some (parse_bool k v)
               | "trace_locals" -> trace_locals := parse_bool k v
               | "prune" -> static_prune := Some (parse_bool k v)
@@ -198,12 +193,12 @@ let feed t line =
               | _ -> raise (Bad_request (Printf.sprintf "unknown option %S" k))))
         opts;
       let prog = compile_spec spec in
-      (prog, !fuel, !engine, !ring, !regalloc, !trace_locals, !static_prune,
+      (prog, !fuel, !engine, !regalloc, !trace_locals, !static_prune,
        !pool_capacity, !scan_limit, !save)
     with
-    | prog, fuel, engine, ring, regalloc, trace_locals, static_prune,
-      pool_capacity, scan_limit, save ->
-        submit t ?fuel ~engine ?ring ?regalloc ~trace_locals ?static_prune
+    | prog, fuel, engine, regalloc, trace_locals, static_prune, pool_capacity,
+      scan_limit, save ->
+        submit t ?fuel ?engine ?regalloc ~trace_locals ?static_prune
           ?pool_capacity ?scan_limit ?save ~spec prog;
         `Queued
     | exception e ->

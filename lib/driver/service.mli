@@ -14,9 +14,9 @@
 
     Request lines ({!feed}):
     {v
-    <spec> [fuel=N] [engine=switch|threaded|register] [ring=B]
-           [regalloc=B] [trace_locals=B] [prune=B] [pool_capacity=N]
-           [scan_limit=N] [save=PATH]
+    <spec> [fuel=N] [engine=switch|register] [regalloc=B]
+           [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N]
+           [save=PATH]
     v}
     with [<spec>] a [workload:NAME[:SCALE]] or a Mini-C file path and
     [B] one of [0/1/true/false]. Blank lines and [#] comments are
@@ -51,7 +51,6 @@ val submit :
   t ->
   ?fuel:int ->
   ?engine:Vm.Machine.engine ->
-  ?ring:bool ->
   ?regalloc:bool ->
   ?trace_locals:bool ->
   ?static_prune:bool ->
@@ -62,9 +61,10 @@ val submit :
   Vm.Program.t ->
   unit
 (** Structured submission of an already-compiled program ([spec] is
-    only a label for the reply). Engine, ring, regalloc and prune
-    select how a miss is computed but are not part of the cache key —
-    profile bytes are proven independent of them. *)
+    only a label for the reply). Engine, regalloc and prune select how a
+    miss is computed (defaults as in {!Alchemist.Profiler.run}) but are
+    not part of the cache key — profile bytes are proven independent of
+    them. *)
 
 val feed : t -> string -> [ `Queued | `Drain | `Skip ]
 (** Parses one request line (grammar above). [`Queued] covers both

@@ -12,7 +12,7 @@ let to_string ?(regalloc = true) (prog : Vm.Program.t) =
   match Lower.lower ~hooked:true ~pruned:(fun _ -> false) prog with
   | None ->
       ";; register lowering unavailable for this program (engine falls \
-       back to threaded); stack bytecode only\n\n" ^ Vm.Disasm.to_string prog
+       back to switch); stack bytecode only\n\n" ^ Vm.Disasm.to_string prog
   | Some lw ->
       let b = Buffer.create 4096 in
       let row l r =

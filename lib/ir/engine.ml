@@ -1,33 +1,27 @@
-(* Engine dispatch covering all three backends.
+(* Engine dispatch. [Vm.Machine] cannot dispatch to the register
+   backend (lib/ir sits above lib/vm), so every caller that runs a
+   program goes through here. See engine.mli for the contract. *)
 
-   [Vm.Machine] cannot dispatch to the register backend (lib/ir sits
-   above lib/vm), so anything that accepts [--engine] goes through
-   here: {!Vm.Machine.Switch} and {!Vm.Machine.Threaded} fall through
-   to [Vm.Machine.exec], {!Vm.Machine.Register} runs {!Exec}.
+type clock = Ring.clock = {
+  instr_range : lo:int -> hi:int -> unit;
+  range_has_target : lo:int -> hi:int -> bool;
+  set_time : int -> unit;
+}
 
-   [regalloc] (default true) disables graph coloring when false — the
-   identity-mapped ablation measured in the bench. [ring] (default
-   true) batches hook delivery through {!Ring}; [instr_range] is the
-   optional bulk [on_instr] sink the ring drain uses for segment
-   events. [obs] publishes the [ir.*] gauges into the given registry.
-   All are accepted (and ignored) for the other engines so callers can
-   pass them unconditionally. *)
-
-let exec ?(engine = Vm.Machine.Threaded) ~hooked ?trace_locals ?prune ?regalloc
-    ?ring ?instr_range ?range_has_target ?set_time ?obs (hooks : Vm.Hooks.t)
-    ?fuel ?max_depth (prog : Vm.Program.t) =
+let exec ?(engine = Vm.Machine.Register) ~hooked ?trace_locals ?prune ?regalloc
+    ?clock ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth (prog : Vm.Program.t) =
   match engine with
   | Vm.Machine.Register ->
-      Exec.exec ~hooked ?trace_locals ?prune ?regalloc ?ring ?instr_range
-        ?range_has_target ?set_time ?obs hooks ?fuel ?max_depth prog
-  | (Vm.Machine.Switch | Vm.Machine.Threaded) as e ->
-      Vm.Machine.exec ~engine:e ~hooked ?trace_locals ?prune hooks ?fuel
+      Exec.exec ~hooked ?trace_locals ?prune ?regalloc ?clock ?obs hooks ?fuel
+        ?max_depth prog
+  | Vm.Machine.Switch ->
+      Vm.Machine.exec ~engine ~hooked ?trace_locals ?prune hooks ?fuel
         ?max_depth prog
 
 let run ?engine ?regalloc ?fuel ?max_depth prog =
   exec ?engine ~hooked:false ?regalloc Vm.Hooks.noop ?fuel ?max_depth prog
 
-let run_hooked ?engine ?trace_locals ?prune ?regalloc ?ring ?instr_range
-    ?range_has_target ?set_time ?obs ?fuel ?max_depth hooks prog =
-  exec ?engine ~hooked:true ?trace_locals ?prune ?regalloc ?ring ?instr_range
-    ?range_has_target ?set_time ?obs hooks ?fuel ?max_depth prog
+let run_hooked ?engine ?trace_locals ?prune ?regalloc ?clock ?obs ?fuel
+    ?max_depth hooks prog =
+  exec ?engine ~hooked:true ?trace_locals ?prune ?regalloc ?clock ?obs hooks
+    ?fuel ?max_depth prog

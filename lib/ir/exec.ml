@@ -116,98 +116,60 @@ let binfn (op : Minic.Ast.binop) : int -> int -> int =
   | Ne -> fun a b -> if a <> b then 1 else 0
   | Div | Mod | Shl | Shr | LogAnd | LogOr -> assert false
 
-let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
-    ?range_has_target ?set_time ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth
-    (lw : Lower.t) =
+let run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs
+    (hooks : Vm.Hooks.t) ?fuel ?max_depth (lw : Lower.t) =
   let prog = lw.prog in
   let st = VS.create ?max_depth prog in
   let fuel = match fuel with Some f -> f | None -> max_int in
-  (* Event delivery: with the ring on, every hook call site below
-     appends packed ints and the real hooks only run at drain points
-     (capacity, deoptimization, run exit). With it off, the sinks are
-     the hooks themselves — the reference delivery discipline. All
-     sinks are resolved once here so the compiled closures carry no
-     per-event mode branch. Ring events are stamped with the emitting
-     clock ([st.instructions]); when the caller also supplies
-     [range_has_target] and [set_time] (the profiler does), segments
-     without a construct join never enter the ring at all — the drain
-     restores the clock from the stamps instead. *)
+  (* Event delivery: every hook call site below appends packed ints to
+     the ring, and the real hooks only run when it drains (capacity,
+     deoptimization, run exit). The sinks are resolved once here so the
+     compiled closures carry no per-event branch. Ring events are
+     stamped with the emitting clock ([st.instructions]); when the
+     caller supplies a [clock] (the profiler and the parallelism
+     simulator do), segments without a construct join never enter the
+     ring at all — the drain restores the clock from the stamps
+     instead. An unhooked run fires no events; its ring is a stub that
+     never fills. *)
   let rg =
-    if hooked && ring then Some (Ring.create ?obs ?instr_range ?set_time hooks)
-    else None
+    if hooked then Ring.create ?obs ?clock hooks
+    else Ring.create ~capacity:0 Vm.Hooks.noop
   in
-  let flush_ring =
-    match rg with
-    | Some r -> fun () -> Ring.drain r ~now:st.instructions
-    | None -> fun () -> ()
+  let flush_ring () = Ring.drain rg ~now:st.instructions in
+  let ev_read ~pc ~addr = Ring.read rg ~pc ~addr ~tm:st.instructions in
+  let ev_write ~pc ~addr = Ring.write rg ~pc ~addr ~tm:st.instructions in
+  let ev_branch ~pc ~kind ~cid ~taken =
+    Ring.branch rg ~pc ~kind ~cid ~taken ~tm:st.instructions
   in
-  let ev_read =
-    match rg with
-    | Some r -> fun ~pc ~addr -> Ring.read r ~pc ~addr ~tm:st.instructions
-    | None -> hooks.on_read
+  let ev_call ~pc ~fid = Ring.call rg ~pc ~fid ~tm:st.instructions in
+  let ev_ret ~pc ~fid = Ring.ret rg ~pc ~fid ~tm:st.instructions in
+  let ev_release ~base ~size =
+    Ring.frame_release rg ~base ~size ~tm:st.instructions
   in
-  let ev_write =
-    match rg with
-    | Some r -> fun ~pc ~addr -> Ring.write r ~pc ~addr ~tm:st.instructions
-    | None -> hooks.on_write
+  (* The ring's range append, open-coded: this fires once per retired
+     IR segment that must appear in the stream — without flambda a
+     [Ring] function would pay a second real call just to reach a
+     compare-and-stores body. Both no-call outcomes (extend the pending
+     range, or start one when none is pending) stay in the closure.
+     [t0] is the clock before the segment's first pc; the extend case
+     keeps the pending range's own start. *)
+  let ev_range lo hi t0 =
+    if rg.Ring.p_hi + 1 = lo then rg.Ring.p_hi <- hi
+    else begin
+      if rg.Ring.p_hi <> min_int then Ring.flush_pending rg;
+      rg.Ring.p_lo <- lo;
+      rg.Ring.p_hi <- hi;
+      rg.Ring.p_t <- t0
+    end
   in
-  let ev_branch =
-    match rg with
-    | Some r ->
-        fun ~pc ~kind ~cid ~taken ->
-          Ring.branch r ~pc ~kind ~cid ~taken ~tm:st.instructions
-    | None -> hooks.on_branch
-  in
-  let ev_call =
-    match rg with
-    | Some r -> fun ~pc ~fid -> Ring.call r ~pc ~fid ~tm:st.instructions
-    | None -> hooks.on_call
-  in
-  let ev_ret =
-    match rg with
-    | Some r -> fun ~pc ~fid -> Ring.ret r ~pc ~fid ~tm:st.instructions
-    | None -> hooks.on_ret
-  in
-  let ev_release =
-    match rg with
-    | Some r ->
-        fun ~base ~size -> Ring.frame_release r ~base ~size ~tm:st.instructions
-    | None -> hooks.on_frame_release
-  in
-  let ev_range =
-    match rg with
-    | Some r ->
-        (* [Ring.instr_range] open-coded: this fires once per retired
-           IR segment that must appear in the stream — without flambda
-           the closure would pay a second real call just to reach a
-           compare-and-stores body. Both no-call outcomes (extend the
-           pending range, or start one when none is pending) stay in
-           the closure. [t0] is the clock before the segment's first
-           pc; the extend case keeps the pending range's own start. *)
-        fun lo hi t0 ->
-          if r.Ring.p_hi + 1 = lo then r.Ring.p_hi <- hi
-          else begin
-            if r.Ring.p_hi <> min_int then Ring.flush_pending r;
-            r.Ring.p_lo <- lo;
-            r.Ring.p_hi <- hi;
-            r.Ring.p_t <- t0
-          end
-    | None ->
-        let on_instr = hooks.on_instr in
-        fun lo hi _t0 ->
-          for q = lo to hi do
-            on_instr ~pc:q
-          done
-  in
-  (* Must a segment appear in the event stream? Without the consumer
-     contract (ring + [range_has_target] + [set_time]) every segment
-     must; with it, only segments holding a construct join point — the
+  (* Must a segment appear in the event stream? Without a [clock] every
+     segment must; with one, only the segments the consumer names — the
      rest contribute nothing but a clock advance, which rides on the
      stamps. Decided once per IR instruction at closure-build time. *)
   let must_emit_range =
-    match (rg, range_has_target) with
-    | Some _, Some f -> f
-    | _ -> fun ~lo:_ ~hi:_ -> true
+    match clock with
+    | Some c -> c.Ring.range_has_target
+    | None -> fun ~lo:_ ~hi:_ -> true
   in
   let allocs =
     Array.map (fun fi -> Regalloc.allocate ~identity:(not regalloc) lw fi) lw.funcs
@@ -813,14 +775,18 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
   in
   VS.finish st exit_value
 
-let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true)
-    ?(ring = true) ?instr_range ?range_has_target ?set_time ?obs
+(* The register engine runs every program the compiler produces, with
+   two exceptions that go to the reference switch interpreter instead:
+   runs that trace scalar locals (the -O0 model of the ablation bench),
+   whose per-local events the IR does not model, and programs whose
+   lowering bails — nonstandard bytecode the compiler never emits. *)
+let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true) ?clock ?obs
     (hooks : Vm.Hooks.t) ?fuel ?max_depth (prog : Vm.Program.t) =
-  let hook_locals = hooked && trace_locals in
-  if hook_locals then
-    (* local tracing events are not modeled in the IR; the threaded
-       engine handles the -O0 model *)
-    Vm.Lower.exec ~hooked ~trace_locals ?prune hooks ?fuel ?max_depth prog
+  let reference () =
+    Vm.Machine.exec ~engine:Vm.Machine.Switch ~hooked ~trace_locals ?prune hooks
+      ?fuel ?max_depth prog
+  in
+  if hooked && trace_locals then reference ()
   else
     let pruned =
       match prune with
@@ -828,10 +794,7 @@ let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true)
       | None -> fun _ -> false
     in
     match Lower.lower ~hooked ~pruned prog with
-    | None ->
-        (* lowering bailed (nonstandard bytecode): the threaded engine is
-           always exact *)
-        Vm.Lower.exec ~hooked ~trace_locals ?prune hooks ?fuel ?max_depth prog
+    | None -> reference ()
     | Some lw ->
-        run_ir ~hooked ~trace_locals ?prune ~regalloc ~ring ?instr_range
-          ?range_has_target ?set_time ?obs hooks ?fuel ?max_depth lw
+        run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs hooks ?fuel
+          ?max_depth lw

@@ -9,15 +9,15 @@
    registers (see {!Instr}), which is what makes control-flow joins
    meet.
 
-   The lowering is a {e per-run} step (like {!Vm.Lower}): the hook
-   configuration and prune mask are known, so pruned global loads become
-   pure register loads and event flags are baked into the IR.
+   The lowering is a {e per-run} step: the hook configuration and prune
+   mask are known, so pruned global loads become pure register loads and
+   event flags are baked into the IR.
 
    Anything the lowering cannot prove consistent — operand-stack depth
    mismatches at joins, depth <> 1 at [Ret], address-taken scalar slots,
    a nonstandard preamble — aborts the whole compilation ([None]); the
-   caller falls back to the threaded engine. Compiler-produced programs
-   always lower. *)
+   caller falls back to the switch interpreter. Compiler-produced
+   programs always lower. *)
 
 open Instr
 

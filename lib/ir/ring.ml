@@ -13,16 +13,17 @@
    {!Vm.Hooks.t} the caller supplied. Downstream state that events
    themselves drive — the index-tree clock, the construct stack — is
    therefore reconstructed exactly at each replayed event, so a
-   consumer cannot distinguish a drained stream from a direct one (the
-   differential suite byte-compares profiles to prove it).
+   consumer cannot distinguish a drained stream from the switch
+   interpreter's per-instruction delivery (the differential suite
+   byte-compares event streams and profiles to prove it).
 
    The one batched entry is [Instr_range]: the engine owns a contiguous
    stack-pc segment per IR instruction, so one (lo, hi) event replaces
    [seg_len] per-pc [on_instr] calls. The drain expands it — either
-   through the per-pc hook, or through a caller-supplied bulk
-   [instr_range] sink (the profiler passes {!Indexing.Rules}'s
-   prefix-summed range walk, which skips the per-pc ipdom probe for
-   segments containing no construct join).
+   through the per-pc hook, or through the [instr_range] sink of a
+   caller-supplied {!clock} (the profiler and the parallelism simulator
+   pass {!Indexing.Rules}'s prefix-summed range walk, which skips the
+   per-pc ipdom probe for segments containing no construct join).
 
    Ranges coalesce before they reach the buffer: straight-line code
    retires several event-free segments back to back, and appending each
@@ -39,12 +40,12 @@
    the absolute clock (retired-instruction count) it was emitted under,
    and the drain restores that clock — through the [set_time] sink —
    before delivering the event. A consumer that declares its per-pc
-   [on_instr] pure clock-keeping outside construct join points (the
-   profiler does, by supplying [set_time] and having {!Exec} consult
-   {!Indexing.Rules.range_has_target}) therefore never sees ranges for
-   join-free segments at all: their only observable effect, the clock
-   advance, rides on the next event's stamp. Consumers that supply raw
-   hooks get the full range stream and the stamps are redundant.
+   [on_instr] pure clock-keeping outside the segments it names (by
+   supplying a {!clock}, whose [range_has_target] {!Exec} consults once
+   per segment) therefore never sees ranges for the other segments at
+   all: their only observable effect, the clock advance, rides on the
+   next event's stamp. Consumers that supply raw hooks get the full
+   range stream and the stamps are redundant.
 
    Event words, stride 3: word0 = payload lsl 3 lor kind, word1 = arg,
    word2 = emitting clock.
@@ -66,6 +67,13 @@
    published under [ir.*] names: ring counters are register-engine
    machinery, and the differential telemetry comparison (test_engines)
    filters that prefix out. *)
+
+(* The consumer side of the thinned stream; see {!Engine.clock}. *)
+type clock = {
+  instr_range : lo:int -> hi:int -> unit;
+  range_has_target : lo:int -> hi:int -> bool;
+  set_time : int -> unit;
+}
 
 type t = {
   buf : int array;
@@ -91,18 +99,18 @@ let branch_kinds = [| Vm.Instr.BrIf; Vm.Instr.BrLoop; Vm.Instr.BrSc |]
 let branch_code (k : Vm.Instr.branch_kind) =
   match k with BrIf -> 0 | BrLoop -> 1 | BrSc -> 2
 
-let create ?obs ?(capacity = default_capacity) ?instr_range ?set_time
-    (hooks : Vm.Hooks.t) =
+let create ?obs ?(capacity = default_capacity) ?clock (hooks : Vm.Hooks.t) =
   let capacity = max 16 capacity in
-  let instr_range =
-    match instr_range with
-    | Some f -> f
+  let instr_range, set_time =
+    match clock with
+    | Some (c : clock) -> (c.instr_range, c.set_time)
     | None ->
         let on_instr = hooks.Vm.Hooks.on_instr in
-        fun ~lo ~hi ->
-          for pc = lo to hi do
-            on_instr ~pc
-          done
+        ((fun ~lo ~hi ->
+           for pc = lo to hi do
+             on_instr ~pc
+           done),
+         ignore)
   in
   let counter name =
     match obs with
@@ -118,7 +126,7 @@ let create ?obs ?(capacity = default_capacity) ?instr_range ?set_time
     p_t = 0;
     hooks;
     instr_range;
-    set_time = (match set_time with Some f -> f | None -> ignore);
+    set_time;
     o_events = counter "ir.ring_events";
     o_drains = counter "ir.ring_drains";
     o_depth =
@@ -126,8 +134,6 @@ let create ?obs ?(capacity = default_capacity) ?instr_range ?set_time
       | Some r -> Obs.Registry.histogram r "ir.ring_depth"
       | None -> Obs.Histogram.make ());
   }
-
-let depth t = t.n + if t.p_hi = min_int then 0 else 1
 
 (* Replay everything buffered, in order, restoring the emitting clock
    before each event whose stamp differs from the clock the replay has
@@ -214,15 +220,6 @@ let drain t ~now =
   flush_pending t;
   drain_buf t;
   t.set_time now
-
-let instr_range t ~lo ~hi ~t0 =
-  if t.p_hi + 1 = lo then t.p_hi <- hi
-  else begin
-    flush_pending t;
-    t.p_lo <- lo;
-    t.p_hi <- hi;
-    t.p_t <- t0
-  end
 
 let read t ~pc ~addr ~tm =
   flush_pending t;

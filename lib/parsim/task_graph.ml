@@ -294,7 +294,8 @@ let graph_of tr ~total =
     cross_deps = tr.cross;
   }
 
-let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
+let collect_many ?(engine = Vm.Machine.Register) ?fuel ?(trace_locals = false)
+    (prog : Vm.Program.t) sites ~f =
   if sites = [] then []
   else begin
     let trackers = Array.of_list (List.map (tracker_of prog) sites) in
@@ -305,7 +306,7 @@ let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
         by_pc.(s.head_pc) <- Array.append by_pc.(s.head_pc) [| trackers.(k) |])
       sites;
     (* Procedure sites whose instance just completed, claimed at the next
-       instruction. *)
+       instruction: the call's return target. *)
     let pending = Array.make (Array.length trackers) trackers.(0) in
     let n_pending = ref 0 in
     let push_hook (c : Indexing.Node.t) =
@@ -328,6 +329,13 @@ let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
     let tree = Indexing.Index_tree.create ~on_push:push_hook ~on_pop:pop_hook () in
     let ipdom = (Cfa.Analysis.analyze prog).Cfa.Analysis.ipdom_of_pc in
     let rules = Indexing.Rules.create ~ipdom ~tree in
+    let claim_pending ~pc =
+      let now = Indexing.Index_tree.now tree in
+      for k = 0 to !n_pending - 1 do
+        claim pending.(k) prog ~pc ~now
+      done;
+      n_pending := 0
+    in
     let sink ~kind ~head_pc:_ ~head_time ~head_node:_ ~tail_pc:_ ~tail_time
         ~tail_node:_ ~addr =
       for k = 0 to Array.length trackers - 1 do
@@ -340,13 +348,7 @@ let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
         Vm.Hooks.on_instr =
           (fun ~pc ->
             Indexing.Rules.on_instr rules ~pc;
-            if !n_pending > 0 then begin
-              let now = Indexing.Index_tree.now tree in
-              for k = 0 to !n_pending - 1 do
-                claim pending.(k) prog ~pc ~now
-              done;
-              n_pending := 0
-            end);
+            if !n_pending > 0 then claim_pending ~pc);
         on_read =
           (fun ~pc ~addr ->
             Shadow.Shadow_memory.read shadow ~addr ~pc
@@ -366,7 +368,39 @@ let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
           (fun ~base ~size -> Shadow.Shadow_memory.clear_range shadow ~base ~size);
       }
     in
-    let r = Vm.Machine.run_hooked ~trace_locals ?fuel hooks prog in
+    (* The profiler's clock contract, plus one obligation of ours: a
+       pending claim happens at the return target, so every segment
+       holding one stays in the stream. The return target is always a
+       segment's first pc (a call ends its segment), and nothing but a
+       return can leave a claim pending, so a kept range that starts
+       with claims pending starts at their return target: tick its first
+       pc, claim, then tick the rest — what per-pc delivery does. *)
+    let targets = Bytes.make (Array.length prog.code + 1) '\000' in
+    Array.iteri
+      (fun pc (i : Vm.Instr.t) ->
+        match i with
+        | Call fid when Array.length by_pc.(prog.funcs.(fid).entry) > 0 ->
+            Bytes.set targets (pc + 1) '\001'
+        | _ -> ())
+      prog.code;
+    let clock =
+      {
+        Ir.Engine.instr_range =
+          (fun ~lo ~hi ->
+            if !n_pending > 0 then begin
+              Indexing.Rules.on_instr rules ~pc:lo;
+              claim_pending ~pc:lo;
+              if hi > lo then Indexing.Rules.on_instr_range rules ~lo:(lo + 1) ~hi
+            end
+            else Indexing.Rules.on_instr_range rules ~lo ~hi);
+        range_has_target =
+          (fun ~lo ~hi ->
+            Indexing.Rules.range_has_target rules ~lo ~hi
+            || Bytes.get targets lo <> '\000');
+        set_time = Indexing.Index_tree.set_now tree;
+      }
+    in
+    let r = Ir.Engine.run_hooked ~engine ~trace_locals ~clock ?fuel hooks prog in
     Indexing.Rules.finish rules;
     let total = r.Vm.Machine.instructions in
     (* One site at a time: its fold table is released as its graph is
@@ -374,10 +408,10 @@ let collect_many ?fuel ?(trace_locals = false) (prog : Vm.Program.t) sites ~f =
     Array.to_list trackers |> List.map (fun tr -> f (graph_of tr ~total))
   end
 
-let collect ?fuel ?trace_locals ?(privatized = []) ?(reductions = []) prog
-    ~head_pc =
+let collect ?engine ?fuel ?trace_locals ?(privatized = []) ?(reductions = [])
+    prog ~head_pc =
   match
-    collect_many ?fuel ?trace_locals prog
+    collect_many ?engine ?fuel ?trace_locals prog
       [ { head_pc; privatized; reductions } ]
       ~f:Fun.id
   with

@@ -63,6 +63,7 @@ type site = {
     from {!Transform}. *)
 
 val collect_many :
+  ?engine:Vm.Machine.engine ->
   ?fuel:int ->
   ?trace_locals:bool ->
   Vm.Program.t ->
@@ -80,10 +81,17 @@ val collect_many :
     time. Returns [f]'s results in site order; an empty site list runs
     nothing. Every site's graph equals what a run for that site alone
     produces, constraint order included.
+
+    The run uses the register engine with the profiler's clock contract
+    ({!Ir.Engine.clock}), so segments without a construct join point or
+    a procedure site's return target never reach the trackers. [engine]
+    exists as the test reference: {!Vm.Machine.Switch} delivers every
+    instruction and yields the same graphs, field for field.
     @raise Invalid_argument if some [head_pc] heads no construct.
     @raise Vm.Machine.Trap as {!Vm.Machine.run}. *)
 
 val collect :
+  ?engine:Vm.Machine.engine ->
   ?fuel:int ->
   ?trace_locals:bool ->
   ?privatized:(int * int) list ->

@@ -47,5 +47,4 @@ val is_predicate : t -> bool
 
 val is_control : t -> bool
 (** [true] for instructions that transfer control ([Jmp], [Br], [Call],
-    [Ret], [Halt]). The superinstruction pass ({!Lower}) only fuses
-    windows whose interior is control-free. *)
+    [Ret], [Halt]): the points where straight-line execution ends. *)

@@ -19,24 +19,22 @@ type result = Vmstate.result = {
   metrics : metrics;
 }
 
-type engine = Switch | Threaded | Register
+type engine = Switch | Register
 
 let engine_to_string = function
   | Switch -> "switch"
-  | Threaded -> "threaded"
   | Register -> "register"
 
 let engine_of_string = function
   | "switch" -> Some Switch
-  | "threaded" -> Some Threaded
   | "register" -> Some Register
   | _ -> None
 
 (* The reference switch loop, continuable from any machine state: one
    [match] per executed instruction, [hooked]/[trace_locals] tested at
-   run time. Kept as the semantic baseline the closure-threaded engine
-   ([Lower]) and the register-IR backend ([Ir.Exec]) are differentially
-   tested against — see test/test_engines.ml. The register backend also
+   run time. Kept as the semantic baseline the register-IR backend
+   ([Ir.Exec]) is differentially tested against — see
+   test/test_engines.ml. The register backend also
    re-enters it mid-run (via {!switch_resume}) when fuel runs out inside
    a tick segment, so "out of fuel" traps at the exact constituent pc. *)
 let switch_loop ~hooked ~hook_locals ~pruned (hooks : Hooks.t) ~fuel
@@ -228,13 +226,11 @@ let switch_resume ~hooked ?(trace_locals = true) ?prune (hooks : Hooks.t)
   let pruned = resolve_prune ~hook_locals prune in
   switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog pc
 
-let exec ?(engine = Threaded) ~hooked ?trace_locals ?prune (hooks : Hooks.t)
+let exec ?(engine = Switch) ~hooked ?trace_locals ?prune (hooks : Hooks.t)
     ?fuel ?max_depth prog =
   match engine with
   | Switch ->
       exec_switch ~hooked ?trace_locals ?prune hooks ?fuel ?max_depth prog
-  | Threaded ->
-      Lower.exec ~hooked ?trace_locals ?prune hooks ?fuel ?max_depth prog
   | Register ->
       (* The register backend lives above this library (lib/ir depends on
          lib/vm); dispatch through [Ir.Engine] instead. *)

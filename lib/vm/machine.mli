@@ -1,27 +1,25 @@
-(** The bytecode interpreter — public entry points for both execution
-    engines.
+(** The bytecode interpreter: the reference switch engine and the
+    engine selector.
 
-    Three engines share the same semantics (differentially tested in
+    Two engines share the same semantics (differentially tested in
     test/test_engines.ml):
 
-    - {!Threaded} (the default): the closure-threaded engine in {!Lower}.
-      The program is pre-lowered once into a flat array of closures with
-      hook configuration, per-pc metadata and superinstruction fusion
-      baked in; the hot loop does zero per-step decoding.
     - {!Switch}: the reference interpreter — one [match] per executed
-      instruction. Slower, but structurally close to the operational
-      semantics; kept as the baseline every threaded-engine change is
-      checked against.
-    - {!Register}: the register-IR backend in [Ir.Exec] — stack bytecode
-      compiled to three-address code over allocated registers. It lives
-      in a library above this one, so selecting it here raises; dispatch
-      through [Ir.Engine.run] / [Ir.Engine.run_hooked], which accept all
-      three engines.
+      instruction, structurally close to the operational semantics. It
+      is what {!run} and {!run_hooked} execute, and the baseline every
+      change to the register engine is checked against.
+    - {!Register}: the register-IR engine in [Ir.Exec] — stack bytecode
+      compiled to three-address code over allocated registers, with hook
+      events delivered through a batched event ring. It is the default
+      instrumented engine (the profiler and the parallelism simulator
+      run on it). It lives in a library above this one, so selecting it
+      here raises; dispatch through [Ir.Engine.run] /
+      [Ir.Engine.run_hooked], which accept both engines.
 
     Both produce identical results, metrics, hook-event streams and trap
-    behavior; {!run} is the plain interpreter (the "native" baseline of
-    Table III), {!run_hooked} additionally drives a {!Hooks.t} — the
-    substrate on which Alchemist's profiler runs. *)
+    behavior. {!run} is the plain interpreter, {!run_hooked}
+    additionally drives a {!Hooks.t} — the substrate on which
+    Alchemist's profiler runs. *)
 
 exception Trap of string * int
 (** Runtime error (division by zero, out-of-bounds index, stack overflow,
@@ -47,7 +45,7 @@ type result = Vmstate.result = {
   metrics : metrics;
 }
 
-type engine = Switch | Threaded | Register
+type engine = Switch | Register
 
 val engine_to_string : engine -> string
 val engine_of_string : string -> engine option
@@ -81,13 +79,15 @@ val exec :
   Program.t ->
   result
 (** Generalized entry point behind {!run} / {!run_hooked}; exported for
-    [Ir.Engine], which layers the register backend on top.
+    [Ir.Engine], which layers the register backend on top, and for the
+    register engine's fallbacks ([trace_locals] runs and programs whose
+    lowering bails run here).
     @raise Invalid_argument when [engine] is {!Register} — that engine
     is dispatched by [Ir.Engine], not here. *)
 
 val run : ?engine:engine -> ?fuel:int -> ?max_depth:int -> Program.t -> result
-(** Executes the program. [engine] selects the execution engine (default
-    {!Threaded}), [fuel] bounds the number of executed instructions
+(** Executes the program on the switch interpreter ([engine] defaults
+    to {!Switch}, the only engine this library runs), [fuel] bounds the number of executed instructions
     (default: unlimited), [max_depth] the call depth (default 10_000).
     @raise Trap on runtime errors. *)
 
@@ -102,8 +102,8 @@ val run_hooked :
   result
 (** Same as {!run}, firing instrumentation callbacks. Both engines emit
     the exact same event stream (pcs, addresses, ordering) and the same
-    instruction-count clock — superinstruction fusion in the threaded
-    engine is event-transparent.
+    instruction-count clock — the register engine's batched delivery is
+    event-transparent.
 
     [trace_locals] (default [true]) controls whether scalar frame slots
     generate memory events. Mini-C never takes the address of a scalar
@@ -117,6 +117,6 @@ val run_hooked :
     fire) — the static pruning oracle ({!Static.Depend.prune_mask})
     guarantees the skipped events cannot change the resulting profile.
     Both engines honor the mask identically: the switch engine tests it
-    per event, the threaded engine specializes it away at lowering time.
+    per event, the register engine specializes it away at lowering time.
     Ignored when locals are traced — the mask only models the default
     event set. *)

@@ -1,5 +1,5 @@
 (* The VM runtime core shared by both execution engines (the switch
-   interpreter in [Machine] and the closure-threaded engine in [Lower]):
+   interpreter in [Machine] and the register-IR engine in [Ir.Exec]):
    the mutable machine state, the unboxed value representation, the
    operand-stack and memory primitives, and the operator evaluators.
 

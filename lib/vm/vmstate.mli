@@ -2,8 +2,8 @@
     state, the unboxed value representation (int payload + one-byte tag),
     operand-stack and memory primitives, and the operator evaluators.
 
-    {!Machine} (the reference switch interpreter) and {!Lower} (the
-    closure-threaded engine) both execute on this state with these
+    {!Machine} (the reference switch interpreter) and the register-IR
+    engine in [Ir.Exec] both execute on this state with these
     primitives, which is what makes them differentially testable down to
     the individual metric counter. User code should go through
     {!Machine.run} / {!Machine.run_hooked}; this interface exists for the

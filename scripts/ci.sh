@@ -14,31 +14,29 @@ dune exec --no-build -- alchemist profile workload:aes:64 --telemetry > /dev/nul
 dune exec --no-build -- alchemist profile workload:aes:64 --telemetry=json > /dev/null
 
 # Smoke-test the reference interpreter: the switch engine must stay
-# runnable from the CLI even though threaded is the default.
+# runnable from the CLI even though register is the default.
 dune exec --no-build -- alchemist run workload:aes:64 --engine=switch > /dev/null
 
-# Engine differential: both engines must produce byte-identical saved
-# profiles for the same workload (the full differential matrix lives in
-# test/test_engines.ml; this guards the CLI wiring end to end).
+# Engine differential: the default (register) engine must save a profile
+# byte-identical to the reference switch interpreter's (the full
+# differential matrix lives in test/test_engines.ml; this guards the CLI
+# wiring end to end).
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=threaded --save "$tmpdir/threaded.prof" > /dev/null
+  --save "$tmpdir/register.prof" > /dev/null
 dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
   --engine=switch --save "$tmpdir/switch.prof" > /dev/null
-cmp "$tmpdir/threaded.prof" "$tmpdir/switch.prof"
-echo "engine differential: profiles byte-identical"
-
-# Register-IR differential: the register backend must match the stack
-# engines byte for byte through the CLI too, with and without the
-# graph-coloring allocator (regalloc only reshuffles slots — any
-# observable difference means a canonicalization move went missing).
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --save "$tmpdir/register.prof" > /dev/null
-if ! cmp "$tmpdir/threaded.prof" "$tmpdir/register.prof"; then
-  echo "register engine diverged from threaded on gzip" >&2
+if ! cmp "$tmpdir/register.prof" "$tmpdir/switch.prof"; then
+  echo "register engine diverged from switch on gzip" >&2
   exit 1
 fi
+echo "engine differential: profiles byte-identical"
+
+# Register allocation is a pure renaming: the register engine must save
+# the same bytes without the graph-coloring allocator (regalloc only
+# reshuffles slots — any observable difference means a canonicalization
+# move went missing).
 dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
   --engine=register --regalloc=false \
   --save "$tmpdir/register-noalloc.prof" > /dev/null
@@ -46,21 +44,7 @@ if ! cmp "$tmpdir/register.prof" "$tmpdir/register-noalloc.prof"; then
   echo "regalloc changed the register engine's profile" >&2
   exit 1
 fi
-echo "register differential: profiles byte-identical"
-
-# Ring differential: batched hook delivery through the event ring must
-# not change a single byte of the profile versus direct delivery. The
-# ring reorders *when* hooks run (drain-in-bulk, clock restored from
-# event stamps, join-free segments elided), never *what* they observe —
-# this guards that equivalence end to end through the CLI.
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --ring=false \
-  --save "$tmpdir/register-noring.prof" > /dev/null
-if ! cmp "$tmpdir/register.prof" "$tmpdir/register-noring.prof"; then
-  echo "event ring changed the register engine's profile" >&2
-  exit 1
-fi
-echo "ring differential: profiles byte-identical"
+echo "regalloc differential: profiles byte-identical"
 
 # Regalloc sanity: on gzip the coloring must fit the 16-slot window —
 # a nonzero spill count here means the allocator regressed (the
@@ -134,10 +118,10 @@ echo "legality gate: every workload persists validated v4 verdicts"
 # 2. Seeded failure: retag one of gzip's serializing legality lines as
 #    privatizable; the sanitizer must refuse the profile (this proves the
 #    legality cross-check can actually fire, not just that clean profiles
-#    pass). The threaded.prof saved above is gzip's version-4 profile.
-grep -q "^legality .* serial$" "$tmpdir/threaded.prof"
+#    pass). The register.prof saved above is gzip's version-4 profile.
+grep -q "^legality .* serial$" "$tmpdir/register.prof"
 awk '!seeded && $1 == "legality" && $5 == "serial" { $5 = "priv"; seeded = 1 }
-     { print }' "$tmpdir/threaded.prof" > "$tmpdir/gzip-bad.prof"
+     { print }' "$tmpdir/register.prof" > "$tmpdir/gzip-bad.prof"
 if dune exec --no-build -- alchemist check workload:gzip-1.3.5:2 \
      --profile "$tmpdir/gzip-bad.prof" > "$tmpdir/legality-seeded.out" 2>&1
 then
@@ -187,11 +171,11 @@ echo "race gate: verify --json sound, every workload persists v5 statuses"
 # 2. Seeded failure: flip one of gzip's racy statuses to race-free in
 #    the saved profile; the sanitizer must refuse it — a forged
 #    race-free tag is exactly the corruption that would green-light an
-#    unsafe spawn. The threaded.prof saved above is gzip's version-5
+#    unsafe spawn. The register.prof saved above is gzip's version-5
 #    profile.
-grep -q "^race .* racy$" "$tmpdir/threaded.prof"
+grep -q "^race .* racy$" "$tmpdir/register.prof"
 awk '!seeded && $1 == "race" && $3 == "racy" { $3 = "race-free"; seeded = 1 }
-     { print }' "$tmpdir/threaded.prof" > "$tmpdir/gzip-race-bad.prof"
+     { print }' "$tmpdir/register.prof" > "$tmpdir/gzip-race-bad.prof"
 if dune exec --no-build -- alchemist check workload:gzip-1.3.5:2 \
      --profile "$tmpdir/gzip-race-bad.prof" > "$tmpdir/race-seeded.out" 2>&1
 then

@@ -1,17 +1,17 @@
-(* Differential tests: the closure-threaded engine (Vm.Lower) and the
-   register-IR backend (Ir.Exec) against the reference switch
-   interpreter. The engines must agree on everything observable —
-   results, metric counters, the full hook-event stream (pcs, addresses,
-   ordering), canonical profiles, telemetry, and trap (message, pc)
-   pairs, including at every fuel level, where fused superinstructions
-   (threaded) and tick segments (register) must hand the machine back to
-   the reference loop mid-window. *)
+(* Differential tests: the register-IR engine (Ir.Exec, with its event
+   ring) against the reference switch interpreter. The engines must
+   agree on everything observable — results, metric counters, the full
+   hook-event stream (pcs, addresses, ordering), the thinned stream a
+   clock consumer sees, canonical profiles, telemetry, and trap
+   (message, pc) pairs, including at every fuel level, where tick
+   segments must hand the machine back to the reference loop
+   mid-segment. *)
 
 module Machine = Vm.Machine
 module Profiler = Alchemist.Profiler
 
 let fuel = 10_000_000
-let engines = [ Machine.Switch; Machine.Threaded; Machine.Register ]
+let engines = [ Machine.Switch; Machine.Register ]
 let ename e = Machine.engine_to_string e
 
 let compile_workload (w : Workloads.Workload.t) =
@@ -43,18 +43,15 @@ let test_registry_unhooked () =
     (fun (w : Workloads.Workload.t) ->
       let prog = compile_workload w in
       let sw = Ir.Engine.run ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          let r = Ir.Engine.run ~engine ~fuel prog in
-          check_same_result (w.name ^ " " ^ ename engine) sw r)
-        [ Machine.Threaded; Machine.Register ];
+      let r = Ir.Engine.run ~fuel prog in
+      check_same_result (w.name ^ " register") sw r;
       (* regalloc-off ablation: identity-mapped windows, same semantics *)
       let id = Ir.Engine.run ~engine:Register ~regalloc:false ~fuel prog in
       check_same_result (w.name ^ " register/regalloc=off") sw id)
     Workloads.Registry.all
 
 (* The register backend must actually compile every registry workload —
-   a silent bail would fall back to the threaded engine and pass every
+   a silent bail would fall back to the switch interpreter and pass every
    differential below vacuously. *)
 let test_register_lowering_coverage () =
   let check name prog =
@@ -79,9 +76,9 @@ let test_register_lowering_coverage () =
 
 (* Serialize every hook invocation; engines must produce byte-identical
    logs. This is stronger than comparing profiles: it pins the ordering
-   and the original pcs that fused steps and register tick segments are
-   required to preserve. *)
-let event_log ?(fuel = fuel) ?regalloc ?ring ~engine ~trace_locals prog =
+   and the original pcs that register tick segments and the ring's
+   batched delivery are required to preserve. *)
+let event_log ?(fuel = fuel) ?regalloc ~engine ~trace_locals prog =
   let buf = Buffer.create 65536 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let hooks =
@@ -103,29 +100,76 @@ let event_log ?(fuel = fuel) ?regalloc ?ring ~engine ~trace_locals prog =
       on_frame_release = (fun ~base ~size -> p "f %d %d\n" base size);
     }
   in
-  let r =
-    Ir.Engine.run_hooked ~engine ?regalloc ?ring ~trace_locals ~fuel hooks prog
-  in
+  let r = Ir.Engine.run_hooked ~engine ?regalloc ~trace_locals ~fuel hooks prog in
   p "exit %d %d\n" r.exit_value r.instructions;
   Buffer.contents buf
 
-let event_log_or_trap ?fuel ?regalloc ?ring ~engine ~trace_locals prog =
-  match event_log ?fuel ?regalloc ?ring ~engine ~trace_locals prog with
+let or_trap f =
+  match f () with
   | log -> log
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
+
+let event_log_or_trap ?fuel ?regalloc ~engine ~trace_locals prog =
+  or_trap (fun () -> event_log ?fuel ?regalloc ~engine ~trace_locals prog)
+
+(* The thinned stream of the Ir.Engine.clock contract. The consumer keeps
+   its own clock and cares about [on_instr] only at "interesting" pcs
+   (every third one here); it logs every other event with the clock it
+   sees. Given a clock, the register engine may elide every segment
+   without an interesting pc and restore the clock from event stamps
+   instead, so the log must equal the switch run's per-instruction log
+   exactly — clock values included. *)
+let clock_log ?(fuel = fuel) ~engine ~trace_locals prog =
+  let buf = Buffer.create 65536 in
+  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let now = ref 0 in
+  let interesting pc = pc mod 3 = 0 in
+  let on_instr ~pc =
+    incr now;
+    if interesting pc then p "i %d @%d\n" pc !now
+  in
+  let hooks =
+    {
+      Vm.Hooks.on_instr;
+      on_read = (fun ~pc ~addr -> p "r %d %d @%d\n" pc addr !now);
+      on_write = (fun ~pc ~addr -> p "w %d %d @%d\n" pc addr !now);
+      on_branch =
+        (fun ~pc ~kind:_ ~cid ~taken -> p "b %d %d %b @%d\n" pc cid taken !now);
+      on_call = (fun ~pc ~fid -> p "c %d %d @%d\n" pc fid !now);
+      on_ret = (fun ~pc ~fid -> p "t %d %d @%d\n" pc fid !now);
+      on_frame_release = (fun ~base ~size -> p "f %d %d @%d\n" base size !now);
+    }
+  in
+  let clock =
+    {
+      Ir.Engine.instr_range =
+        (fun ~lo ~hi ->
+          for pc = lo to hi do
+            on_instr ~pc
+          done);
+      range_has_target =
+        (fun ~lo ~hi ->
+          let rec any pc = pc <= hi && (interesting pc || any (pc + 1)) in
+          any lo);
+      set_time = (fun t -> now := t);
+    }
+  in
+  let r = Ir.Engine.run_hooked ~engine ~trace_locals ~clock ~fuel hooks prog in
+  p "exit %d %d @%d\n" r.exit_value r.instructions !now;
+  Buffer.contents buf
+
+let clock_log_or_trap ?fuel ~engine ~trace_locals prog =
+  or_trap (fun () -> clock_log ?fuel ~engine ~trace_locals prog)
 
 let check_event_stream name prog =
   List.iter
     (fun trace_locals ->
       let name = Printf.sprintf "%s (trace_locals=%b)" name trace_locals in
       let sw = event_log ~engine:Switch ~trace_locals prog in
-      List.iter
-        (fun engine ->
-          let l = event_log ~engine ~trace_locals prog in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s event stream" name (ename engine))
-            sw l)
-        [ Machine.Threaded; Machine.Register ])
+      Alcotest.(check string)
+        (Printf.sprintf "%s: register event stream" name)
+        sw
+        (event_log ~engine:Register ~trace_locals prog))
     [ false; true ]
 
 (* For the registry workloads (millions of events) a literal log would be
@@ -170,18 +214,16 @@ let test_registry_event_stream () =
           let hs, ns, es, is =
             event_signature ~engine:Switch ~trace_locals prog
           in
-          List.iter
-            (fun engine ->
-              let name =
-                Printf.sprintf "%s %s (trace_locals=%b)" w.name (ename engine)
-                  trace_locals
-              in
-              let ht, nt, et, it = event_signature ~engine ~trace_locals prog in
-              Alcotest.(check int) (name ^ ": event count") ns nt;
-              Alcotest.(check int) (name ^ ": event hash") hs ht;
-              Alcotest.(check int) (name ^ ": exit") es et;
-              Alcotest.(check int) (name ^ ": instructions") is it)
-            [ Machine.Threaded; Machine.Register ])
+          let name =
+            Printf.sprintf "%s register (trace_locals=%b)" w.name trace_locals
+          in
+          let ht, nt, et, it =
+            event_signature ~engine:Register ~trace_locals prog
+          in
+          Alcotest.(check int) (name ^ ": event count") ns nt;
+          Alcotest.(check int) (name ^ ": event hash") hs ht;
+          Alcotest.(check int) (name ^ ": exit") es et;
+          Alcotest.(check int) (name ^ ": instructions") is it)
         [ false; true ])
     Workloads.Registry.all
 
@@ -242,20 +284,17 @@ let test_registry_profiles () =
     (fun (w : Workloads.Workload.t) ->
       let prog = compile_workload w in
       let sw = Profiler.run ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          let r = Profiler.run ~engine ~fuel prog in
-          let name = w.name ^ " " ^ ename engine in
-          Alcotest.(check string)
-            (name ^ ": canonical profile")
-            (Alchemist.Profile_io.to_string sw.profile)
-            (Alchemist.Profile_io.to_string r.profile);
-          Alcotest.(check string)
-            (name ^ ": telemetry")
-            (telemetry_text (Profiler.telemetry sw))
-            (telemetry_text (Profiler.telemetry r));
-          check_same_result (name ^ ": profiled run") sw.run r.run)
-        [ Machine.Threaded; Machine.Register ])
+      let r = Profiler.run ~fuel prog in
+      let name = w.name ^ " register" in
+      Alcotest.(check string)
+        (name ^ ": canonical profile")
+        (Alchemist.Profile_io.to_string sw.profile)
+        (Alchemist.Profile_io.to_string r.profile);
+      Alcotest.(check string)
+        (name ^ ": telemetry")
+        (telemetry_text (Profiler.telemetry sw))
+        (telemetry_text (Profiler.telemetry r));
+      check_same_result (name ^ ": profiled run") sw.run r.run)
     Workloads.Registry.all
 
 let test_engine_gauge () =
@@ -267,7 +306,6 @@ let test_engine_gauge () =
     | _ -> -1
   in
   Alcotest.(check int) "switch gauge" 0 (gauge Machine.Switch);
-  Alcotest.(check int) "threaded gauge" 1 (gauge Machine.Threaded);
   Alcotest.(check int) "register gauge" 2 (gauge Machine.Register)
 
 (* The register engine publishes its compilation telemetry. *)
@@ -288,58 +326,17 @@ let test_register_telemetry () =
   (* 16 physical registers cover every registry workload frame *)
   Alcotest.(check int) "no spills on gzip" 0 (level "ir.spills")
 
+(* The register engine hands -O0 (trace_locals) runs to the switch
+   interpreter; the default engine must still produce the reference
+   profile. *)
 let test_trace_locals_profile () =
   let w = Workloads.Registry.find "gzip-1.3.5" in
   let prog = compile_workload w in
   let sw = Profiler.run ~engine:Switch ~fuel ~trace_locals:true prog in
-  List.iter
-    (fun engine ->
-      let r = Profiler.run ~engine ~fuel ~trace_locals:true prog in
-      Alcotest.(check string)
-        ("trace_locals profile " ^ ename engine)
-        (Alchemist.Profile_io.to_string sw.profile)
-        (Alchemist.Profile_io.to_string r.profile))
-    [ Machine.Threaded; Machine.Register ]
-
-(* --- superinstruction ablation ----------------------------------------- *)
-
-let test_fusion_off () =
-  let w = Workloads.Registry.find "gzip-1.3.5" in
-  let prog = compile_workload w in
-  let sw =
-    Machine.run_hooked ~engine:Switch ~trace_locals:false ~fuel Vm.Hooks.noop
-      prog
-  in
-  let unfused =
-    Vm.Lower.exec ~hooked:true ~trace_locals:false ~fuse:false Vm.Hooks.noop
-      ~fuel prog
-  in
-  check_same_result "fuse=false" sw unfused
-
-let test_fusions_installed () =
-  let w = Workloads.Registry.find "gzip-1.3.5" in
-  let prog = compile_workload w in
-  let fs = Vm.Lower.fusions prog in
-  Alcotest.(check bool)
-    "gzip has superinstruction sites" true
-    (List.length fs > 50);
-  (* Interiors are straight-line: no fused window spans a control
-     transfer except in its final slot. *)
-  List.iter
-    (fun (f : Vm.Lower.fusion) ->
-      for k = 0 to f.length - 2 do
-        Alcotest.(check bool)
-          (Printf.sprintf "window at %d interior control-free" f.head)
-          false
-          (Vm.Instr.is_control prog.Vm.Program.code.(f.head + k))
-      done)
-    fs;
-  (* The dominant loop idioms from the workload study are present. *)
-  let names = List.map (fun (f : Vm.Lower.fusion) -> f.name) fs in
-  List.iter
-    (fun expected ->
-      Alcotest.(check bool) ("has " ^ expected) true (List.mem expected names))
-    [ "load.l+const+bin+store.l+jmp"; "load.l+const+bin+brz"; "const+bin" ]
+  let r = Profiler.run ~fuel ~trace_locals:true prog in
+  Alcotest.(check string) "trace_locals profile register"
+    (Alchemist.Profile_io.to_string sw.profile)
+    (Alchemist.Profile_io.to_string r.profile)
 
 (* --- fuel and traps ----------------------------------------------------- *)
 
@@ -351,11 +348,10 @@ let run_outcome ~engine ?regalloc ?(trace_locals = false) ~fuel prog =
   | r -> Printf.sprintf "exit %d instrs %d" r.exit_value r.instructions
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
-(* Every fuel level from 0 to completion: the threaded engine must trap
-   "out of fuel" at exactly the same pc (exercising the fused steps'
-   stepwise fallback at every window offset), and the register engine
-   must deoptimize — rebuild the architectural stack-machine state and
-   resume in the switch loop — at every tick-segment offset. *)
+(* Every fuel level from 0 to completion: the register engine must
+   deoptimize — rebuild the architectural stack-machine state and resume
+   in the switch loop — at every tick-segment offset, and trap "out of
+   fuel" at exactly the reference pc. *)
 let test_fuel_sweep () =
   let src =
     "int g[6];\n\
@@ -372,10 +368,6 @@ let test_fuel_sweep () =
   for fuel = 0 to total do
     let sw = run_outcome ~engine:Switch ~fuel prog in
     Alcotest.(check string)
-      (Printf.sprintf "fuel=%d threaded" fuel)
-      sw
-      (run_outcome ~engine:Threaded ~fuel prog);
-    Alcotest.(check string)
       (Printf.sprintf "fuel=%d register" fuel)
       sw
       (run_outcome ~engine:Register ~fuel prog);
@@ -385,34 +377,29 @@ let test_fuel_sweep () =
       (run_outcome ~engine:Register ~regalloc:false ~fuel prog)
   done
 
-(* Traps raised from inside fused windows / tick segments must carry the
-   constituent's original pc and message. *)
+(* Traps raised from inside tick segments must carry the constituent's
+   original pc and message. *)
 let trap_cases =
   [
-    ( "div by zero in fused update",
+    ( "div by zero in an update",
       "int main() { int x; int y; x = 9; y = 0; x = x / y; return x; }" );
-    ( "mod by zero in fused const op",
+    ( "mod by zero in a const op",
       "int main() { int x; x = 7; x = x % 0; return x; }" );
-    ( "load out of bounds in fused index",
+    ( "load out of bounds",
       "int g[4];\nint main() { int i; i = 11; return g[i]; }" );
     ( "store out of bounds",
       "int g[4];\nint main() { int i; i = 4 + 3; g[i] = 1; return 0; }" );
-    ( "shift out of range in fused op",
+    ( "shift out of range",
       "int main() { int x; x = 1; x = x << 77; return x; }" );
   ]
 
-let test_fused_traps () =
+let test_traps () =
   List.iter
     (fun (name, src) ->
       let prog = Vm.Compile.compile_source src in
       let sw = run_outcome ~engine:Switch ~fuel prog in
-      List.iter
-        (fun engine ->
-          Alcotest.(check string)
-            (name ^ " " ^ ename engine)
-            sw
-            (run_outcome ~engine ~fuel prog))
-        [ Machine.Threaded; Machine.Register ];
+      Alcotest.(check string) (name ^ " register") sw
+        (run_outcome ~engine:Register ~fuel prog);
       (* The trap must actually fire. *)
       Alcotest.(check bool)
         (name ^ " traps") true
@@ -421,24 +408,24 @@ let test_fused_traps () =
 
 (* --- event ring ---------------------------------------------------------- *)
 
-(* Ring on vs off on the register engine: batching hook delivery through
-   the event ring must not change one byte of the event stream. The
-   switch log is the reference for both. *)
+(* The thinned stream of a clock consumer: the ring elides segments the
+   consumer declared uninteresting and restores its clock from the event
+   stamps; every event must still arrive in order with the clock the
+   switch interpreter's per-instruction delivery gives it. The random
+   programs of the qcheck differential and the fuel sweep below cover
+   the same stream; the registry workloads are covered through the
+   profiler, which is a clock consumer. *)
 let test_ring_event_stream () =
   List.iter
     (fun (name, src) ->
       let prog = Vm.Compile.compile_source src in
       List.iter
         (fun trace_locals ->
-          let sw = event_log ~engine:Switch ~trace_locals prog in
-          List.iter
-            (fun ring ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s ring=%b (trace_locals=%b)" name ring
-                   trace_locals)
-                sw
-                (event_log ~engine:Register ~ring ~trace_locals prog))
-            [ true; false ])
+          Alcotest.(check string)
+            (Printf.sprintf "%s clock stream (trace_locals=%b)" name
+               trace_locals)
+            (clock_log ~engine:Switch ~trace_locals prog)
+            (clock_log ~engine:Register ~trace_locals prog))
         [ false; true ])
     fig4_snippets
 
@@ -446,8 +433,9 @@ let test_ring_event_stream () =
    offset. A deoptimization fires mid-ring on most levels, and the
    buffered events must reach the hooks BEFORE the switch resume
    delivers its own — flushing after the stack rebuild (or not at all)
-   reorders or drops the tail of the stream. Byte-compare the full
-   event log at every fuel level, ring on and off. *)
+   reorders or drops the tail of the stream — and a clock consumer's
+   clock must be where the resume expects it. Byte-compare the full
+   event log and the thinned clock log at every fuel level. *)
 let test_fuel_ring_sweep () =
   let src =
     "int g[6];\n\
@@ -462,23 +450,21 @@ let test_fuel_ring_sweep () =
   let prog = Vm.Compile.compile_source src in
   let total = (Machine.run ~engine:Switch prog).instructions in
   for fuel = 0 to total do
-    let sw = event_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog in
-    List.iter
-      (fun ring ->
-        Alcotest.(check string)
-          (Printf.sprintf "fuel=%d ring=%b" fuel ring)
-          sw
-          (event_log_or_trap ~fuel ~ring ~engine:Register ~trace_locals:false
-             prog))
-      [ true; false ]
+    Alcotest.(check string)
+      (Printf.sprintf "fuel=%d event stream" fuel)
+      (event_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog)
+      (event_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog);
+    Alcotest.(check string)
+      (Printf.sprintf "fuel=%d clock stream" fuel)
+      (clock_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog)
+      (clock_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog)
   done
 
 (* Alloc/free churn: a frame with a local array released on every call
    inside a loop, so clear_range fires between batched accesses of the
    same addresses over and over — the shadow freshen memo must be
    invalidated by each release or stale cells would fabricate
-   cross-activation edges. Full profile byte-compare across engines and
-   ring modes. *)
+   cross-activation edges. Full profile byte-compare across engines. *)
 let test_churn_profile () =
   let src =
     "int acc[4];\n\
@@ -501,35 +487,26 @@ let test_churn_profile () =
     Alchemist.Profile_io.to_string
       (Profiler.run ~engine:Switch ~fuel prog).Profiler.profile
   in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun ring ->
-          Alcotest.(check string)
-            (Printf.sprintf "churn %s ring=%b" (ename engine) ring)
-            reference
-            (Alchemist.Profile_io.to_string
-               (Profiler.run ~engine ~ring ~fuel prog).Profiler.profile))
-        [ true; false ])
-    engines
+  Alcotest.(check string) "churn register" reference
+    (Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile)
 
 (* --- random program differential ---------------------------------------- *)
 
 let test_qcheck_differential () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"all engines on random programs" ~count:60
+    (QCheck.Test.make ~name:"both engines on random programs" ~count:60
        Testgen.arbitrary_program (fun p ->
          let prog = Vm.Compile.compile p in
          (* A tight budget keeps the logs small and makes "out of fuel"
             itself part of the differential surface. *)
          let out engine =
-           List.map
-             (fun trace_locals ->
-               event_log_or_trap ~fuel:200_000 ~engine ~trace_locals prog)
-             [ false; true ]
+           clock_log_or_trap ~fuel:200_000 ~engine ~trace_locals:false prog
+           :: List.map
+                (fun trace_locals ->
+                  event_log_or_trap ~fuel:200_000 ~engine ~trace_locals prog)
+                [ false; true ]
          in
-         let sw = out Machine.Switch in
-         sw = out Machine.Threaded && sw = out Machine.Register))
+         out Machine.Switch = out Machine.Register))
 
 (* Register allocation is a pure renaming: coloring on vs. identity
    windows must not change a single observable byte on random
@@ -545,11 +522,10 @@ let test_qcheck_regalloc () =
          in
          out true = out false))
 
-(* Random configuration matrix: any (engine, fuel bound, prune mask,
-   ring mode) must produce the profile of the reference configuration
-   byte-for-byte — or trap identically when the fuel bound bites. Runs
-   over the Fig. 4 snippets plus the two smallest-scaled registry
-   workloads. *)
+(* Random configuration matrix: any (engine, fuel bound, prune mask)
+   must produce the profile of the reference configuration byte-for-byte
+   — or trap identically when the fuel bound bites. Runs over the Fig. 4
+   snippets plus the two smallest-scaled registry workloads. *)
 let test_qcheck_profile_matrix () =
   let progs =
     List.map
@@ -562,31 +538,28 @@ let test_qcheck_profile_matrix () =
       | _ -> [])
   in
   let progs = Array.of_list progs in
-  let profile_or_trap ~engine ~ring ~static_prune ~fuel prog =
-    match Profiler.run ~engine ~ring ~static_prune ~fuel prog with
+  let profile_or_trap ~engine ~static_prune ~fuel prog =
+    match Profiler.run ~engine ~static_prune ~fuel prog with
     | r -> Alchemist.Profile_io.to_string r.Profiler.profile
     | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
   in
   let gen =
     QCheck.Gen.(
-      tup4 (int_bound (Array.length progs - 1))
-        (oneofl [ Machine.Switch; Machine.Threaded; Machine.Register ])
-        (tup2 (oneof [ int_range 1 5_000; return 10_000_000 ]) bool)
-        bool)
+      tup3 (int_bound (Array.length progs - 1)) (oneofl engines)
+        (tup2 (oneof [ int_range 1 5_000; return 10_000_000 ]) bool))
   in
-  let print (i, e, (fuel, prune), ring) =
-    Printf.sprintf "%s engine=%s fuel=%d prune=%b ring=%b" (fst progs.(i))
-      (ename e) fuel prune ring
+  let print (i, e, (fuel, prune)) =
+    Printf.sprintf "%s engine=%s fuel=%d prune=%b" (fst progs.(i)) (ename e)
+      fuel prune
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"profile identical across engine/fuel/prune/ring"
+    (QCheck.Test.make ~name:"profile identical across engine/fuel/prune"
        ~count:48
        (QCheck.make gen ~print)
-       (fun (i, engine, (fuel, static_prune), ring) ->
+       (fun (i, engine, (fuel, static_prune)) ->
          let _, prog = progs.(i) in
-         profile_or_trap ~engine:Machine.Switch ~ring:true ~static_prune:true
-           ~fuel prog
-         = profile_or_trap ~engine ~ring ~static_prune ~fuel prog))
+         profile_or_trap ~engine:Machine.Switch ~static_prune:true ~fuel prog
+         = profile_or_trap ~engine ~static_prune ~fuel prog))
 
 let suite =
   [
@@ -598,10 +571,8 @@ let suite =
     ("vm.engine gauge", `Quick, test_engine_gauge);
     ("register telemetry", `Quick, test_register_telemetry);
     ("trace_locals profile identical", `Quick, test_trace_locals_profile);
-    ("fusion off differential", `Quick, test_fusion_off);
-    ("fusions installed and well-formed", `Quick, test_fusions_installed);
     ("fuel sweep trap parity", `Quick, test_fuel_sweep);
-    ("fused trap pc/message parity", `Quick, test_fused_traps);
+    ("trap pc/message parity", `Quick, test_traps);
     ("ring event streams", `Quick, test_ring_event_stream);
     ("ring fuel-boundary sweep", `Quick, test_fuel_ring_sweep);
     ("alloc/free churn profile", `Quick, test_churn_profile);

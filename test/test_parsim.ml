@@ -313,14 +313,15 @@ let same_graph what (a : TG.t) (b : TG.t) =
   field "dropped" (a.TG.dropped_privatized = b.TG.dropped_privatized);
   field "cross deps" (a.TG.cross_deps = b.TG.cross_deps)
 
-let one_by_one ?fuel prog sites =
+let one_by_one ?engine ?fuel prog sites =
   List.map
     (fun (s : TG.site) ->
-      TG.collect ?fuel ~privatized:s.TG.privatized ~reductions:s.TG.reductions
-        prog ~head_pc:s.TG.head_pc)
+      TG.collect ?engine ?fuel ~privatized:s.TG.privatized
+        ~reductions:s.TG.reductions prog ~head_pc:s.TG.head_pc)
     sites
 
-let all_at_once ?fuel prog sites = TG.collect_many ?fuel prog sites ~f:Fun.id
+let all_at_once ?engine ?fuel prog sites =
+  TG.collect_many ?engine ?fuel prog sites ~f:Fun.id
 
 let site_name (prog : Vm.Program.t) (s : TG.site) =
   match Vm.Program.construct_at prog s.TG.head_pc with
@@ -398,6 +399,29 @@ let test_shared_run_registry name () =
            (fun (s : TG.site) -> s.TG.head_pc = dup.TG.head_pc && s <> dup)
            sites))
     (List.filteri (fun k _ -> k < 2) sites)
+
+(* The register engine's thinned stream against the switch
+   interpreter's per-instruction one: the advised sites plus every
+   procedure other than main, whose instances are claimed at return
+   targets the ring must keep. *)
+let test_register_equals_switch name () =
+  let prog = registry_prog name in
+  let main_entry = prog.funcs.(prog.main_fid).Vm.Program.entry in
+  let procs =
+    Array.to_list prog.funcs
+    |> List.filter_map (fun (f : Vm.Program.func_info) ->
+           if f.entry = main_entry then None
+           else Some { TG.head_pc = f.entry; privatized = []; reductions = [] })
+  in
+  let sites = advised_sites prog @ procs in
+  List.iteri
+    (fun k ((s : TG.site), (rg, sw)) ->
+      same_graph
+        (Printf.sprintf "%s site %d (%s)" name k (site_name prog s))
+        rg sw)
+    (List.combine sites
+       (List.combine (all_at_once prog sites)
+          (all_at_once ~engine:Vm.Machine.Switch prog sites)))
 
 let test_registry_sites_cover_claims () =
   (* Procedure sites where a return value is consumed (claimed by the
@@ -487,18 +511,24 @@ let test_shared_run_qcheck () =
                | gs -> Ok gs
                | exception Vm.Machine.Trap (msg, pc) -> Error (msg, pc)
              in
-             let shared = outcome (all_at_once ~fuel)
-             and alone = outcome (one_by_one ~fuel) in
-             if shared = alone then true
-             else
-               QCheck.Test.fail_reportf "%d sites, fuel %d: %s" (List.length sites)
-                 fuel
-                 (match (shared, alone) with
-                 | Error (m, pc), _ ->
-                     Printf.sprintf "shared run trapped: %s at %d" m pc
-                 | _, Error (m, pc) ->
-                     Printf.sprintf "a lone run trapped: %s at %d" m pc
-                 | Ok _, Ok _ -> "graphs differ")))
+             (* on each engine, and the register run against the switch
+                run *)
+             let check engine =
+               let shared = outcome (all_at_once ~engine ~fuel)
+               and alone = outcome (one_by_one ~engine ~fuel) in
+               if shared = alone then shared
+               else
+                 QCheck.Test.fail_reportf "%s, %d sites, fuel %d: %s"
+                   (Vm.Machine.engine_to_string engine)
+                   (List.length sites) fuel
+                   (match (shared, alone) with
+                   | Error (m, pc), _ ->
+                       Printf.sprintf "shared run trapped: %s at %d" m pc
+                   | _, Error (m, pc) ->
+                       Printf.sprintf "a lone run trapped: %s at %d" m pc
+                   | Ok _, Ok _ -> "graphs differ")
+             in
+             check Vm.Machine.Register = check Vm.Machine.Switch))
 
 (* The schedule depends on the constraints, not on their order: the
    constraint list of a graph reaches [simulate] in first-occurrence
@@ -557,4 +587,10 @@ let suite =
         ( "one run serves every site: " ^ name,
           `Quick,
           test_shared_run_registry name ))
+      Workloads.Registry.names
+  @ List.map
+      (fun name ->
+        ( "register collection equals switch: " ^ name,
+          `Quick,
+          test_register_equals_switch name ))
       Workloads.Registry.names

@@ -192,6 +192,23 @@ let test_pp_construct_and_entry () =
   Alcotest.(check string) "method rendering" "Method f"
     (Format.asprintf "%a" Vm.Program.pp_construct c)
 
+(* A profile with a race block renders from its stored statuses; the
+   same profile without the block takes the analysing path. The reports
+   must not differ, for every construct of every registry program. *)
+let test_render_uses_stored_race () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let prog = Workloads.Workload.compile w ~scale:w.test_scale in
+      let p = (Alchemist.Profiler.run prog).Alchemist.Profiler.profile in
+      Alcotest.(check bool) (w.name ^ ": race block stored") true
+        (p.Alchemist.Profile.static_race <> None);
+      Alcotest.(check string)
+        (w.name ^ ": stored = analysed")
+        (Report.render ~top:max_int p)
+        (Report.render ~top:max_int
+           { p with Alchemist.Profile.static_race = None }))
+    Workloads.Registry.all
+
 let suite =
   [
     ("violation threshold", `Quick, test_violation_threshold_is_mean_duration);
@@ -206,4 +223,5 @@ let suite =
     ("disasm annotates constructs", `Quick, test_disasm_annotates_constructs);
     ("index tree stats", `Quick, test_index_tree_stats_string);
     ("pp construct", `Quick, test_pp_construct_and_entry);
+    ("render uses stored race statuses", `Quick, test_render_uses_stored_race);
   ]

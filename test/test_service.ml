@@ -83,7 +83,7 @@ let test_key_ignores_fingerprint_swap () =
   check Alcotest.bool "swap is not symmetric" false (k "a" "x" = k "x" "a")
 
 let test_engine_permutations_hit () =
-  (* the engine, ring, regalloc and prune knobs are proven not to change
+  (* the engine, regalloc and prune knobs are proven not to change
      profile bytes, so they share one cache line: first run computes,
      every permutation afterwards hits *)
   let prog = family_prog 0 in
@@ -97,8 +97,8 @@ let test_engine_permutations_hit () =
       Service.submit svc ~fuel ~engine:Vm.Machine.Switch ~spec:"switch" prog;
       Service.submit svc ~fuel ~engine:Vm.Machine.Register ~spec:"register"
         prog;
-      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~ring:false
-        ~regalloc:false ~spec:"register-noring" prog;
+      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~regalloc:false
+        ~spec:"register-noalloc" prog;
       Service.submit svc ~fuel ~static_prune:false ~spec:"noprune" prog;
       let rest = Service.drain svc in
       check Alcotest.bool "first computes" true
@@ -249,19 +249,32 @@ let test_feed_ordering_and_errors () =
       ignore (Service.feed svc "workload:no-such-workload");
       ignore (Service.feed svc "workload:stencil:64 bogus_opt=1");
       ignore (Service.feed svc "workload:stencil:64 engine=quantum");
+      (* the retired threaded engine and ring switch are bad requests too *)
+      ignore (Service.feed svc "workload:stencil:64 engine=threaded");
+      ignore (Service.feed svc "workload:stencil:64 ring=false");
       let replies = Service.drain svc in
-      check Alcotest.(list int) "submission order preserved" [ 1; 2; 3; 4 ]
+      check Alcotest.(list int) "submission order preserved"
+        [ 1; 2; 3; 4; 5; 6 ]
         (List.map (fun (r : Service.reply) -> r.Service.seq) replies);
       let ok (r : Service.reply) = Result.is_ok r.Service.result in
       check Alcotest.(list bool) "errors exactly where submitted"
-        [ true; false; false; false ]
+        [ true; false; false; false; false; false ]
         (List.map ok replies);
+      let error_of i =
+        match (List.nth replies i).Service.result with
+        | Error m -> m
+        | Ok _ -> Alcotest.fail "expected an error reply"
+      in
+      check Alcotest.string "threaded is an unknown engine"
+        "engine: unknown \"threaded\"" (error_of 4);
+      check Alcotest.string "ring is an unknown option"
+        "unknown option \"ring\"" (error_of 5);
       (* a repeat in a later batch hits the cache (inserts happen at
          harvest, so the repeat must come after a drain) and agrees *)
       ignore (Service.feed svc "workload:stencil:64");
       match Service.drain svc with
       | [ b ] ->
-          check Alcotest.int "repeat seq" 5 b.Service.seq;
+          check Alcotest.int "repeat seq" 7 b.Service.seq;
           check Alcotest.string "bytes agree"
             (reply_bytes (List.nth replies 0))
             (reply_bytes b);

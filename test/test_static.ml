@@ -408,7 +408,7 @@ let test_prune_byte_identity_fig4_snippets () =
       let off = bytes_of ~static_prune:false prog in
       Alcotest.(check string) "prune on = off" off
         (bytes_of ~static_prune:true prog);
-      Alcotest.(check string) "switch = threaded" off
+      Alcotest.(check string) "switch = register" off
         (bytes_of ~engine:Vm.Machine.Switch prog))
     [
       {| int g;
@@ -537,7 +537,7 @@ let test_refine_widens_ref_return () =
     (fun engine ->
       Alcotest.(check string) "widened prune is byte-invisible" off
         (bytes_of ~engine ~static_prune:true prog))
-    [ Vm.Machine.Switch; Vm.Machine.Threaded; Vm.Machine.Register ]
+    [ Vm.Machine.Switch; Vm.Machine.Register ]
 
 (* --- sanitizer ---------------------------------------------------------------- *)
 
