@@ -434,18 +434,20 @@ let micro () =
            ignore (Indexing.Index_tree.pop tree)))
   in
   let pool = Indexing.Construct_pool.create ~capacity:16 () in
+  let nodes = Indexing.Construct_pool.nodes pool in
   let t = ref 0 in
   let bench_pool =
     Test.make ~name:"pool/acquire+release"
       (Staged.stage (fun () ->
            incr t;
            let n = Indexing.Construct_pool.acquire pool ~now:!t in
-           n.Indexing.Node.tenter <- !t;
-           n.Indexing.Node.texit <- !t;
+           Indexing.Node.start nodes n ~label:1 ~is_func:false ~tenter:!t
+             ~parent:Indexing.Node.none;
+           Indexing.Node.set_texit nodes n !t;
            Indexing.Construct_pool.release pool n))
   in
   let sm = Shadow.Shadow_memory.create () in
-  let node = Indexing.Node.make () in
+  let node = Indexing.Node.alloc (Indexing.Node.store ()) in
   let t2 = ref 0 in
   let bench_shadow_w =
     Test.make ~name:"shadow/write"
@@ -570,10 +572,10 @@ let ablation () =
       let trace, res = Vm.Trace.record prog in
       let r = Profiler.run ~fuel ~pool_capacity:4096 prog in
       Printf.printf
-        "scale %-6d %9d instrs: trace %9d words vs pool %5d nodes (~%d words)\n"
+        "scale %-6d %9d instrs: trace %9d words vs pool %5d nodes (%d words)\n"
         scale res.Vm.Machine.instructions (Vm.Trace.words trace)
         r.Profiler.stats.Profiler.pool_allocated
-        (r.Profiler.stats.Profiler.pool_allocated * 6))
+        r.Profiler.stats.Profiler.pool_words)
     [ 1_000; 4_000; 16_000 ];
   print_endline
     "the whole trace (ParaMeter-style) grows linearly with the run; the\n\

@@ -8,6 +8,7 @@ type stats = {
   shadow_events : int;
   pool_allocated : int;
   pool_reused : int;
+  pool_words : int;
   forced_pops : int;
   pruned_pcs : int;
   event_pcs : int;
@@ -98,42 +99,41 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
   | None -> ());
   let profile = Profile.create prog in
   let pops = ref 0 in
-  let on_push (c : Node.t) =
-    Profile.enter profile ~cid:(cid_of_label prog c.label)
+  let on_push nodes c =
+    Profile.enter profile ~cid:(cid_of_label prog (Node.label nodes c))
   in
-  let on_pop (c : Node.t) =
+  let on_pop nodes c =
     incr pops;
+    let p = Node.parent nodes c in
     let parent_cid =
-      match c.parent with
-      | Some p -> cid_of_label prog p.Node.label
-      | None -> -1
+      if p = Node.none then -1 else cid_of_label prog (Node.label nodes p)
     in
     Profile.leave profile
-      ~cid:(cid_of_label prog c.label)
-      ~duration:(Node.duration c) ~parent_cid
+      ~cid:(cid_of_label prog (Node.label nodes c))
+      ~duration:(Node.duration nodes c) ~parent_cid
   in
   let tree =
     Indexing.Index_tree.create ?scan_limit ?pool_capacity ~on_push ~on_pop ()
   in
+  let nodes = Indexing.Index_tree.nodes tree in
   let rules = Indexing.Rules.create ~ipdom:analysis.Cfa.Analysis.ipdom_of_pc ~tree in
   (* Table II: attribute a detected dependence to every completed
-     enclosing construct of its head, bottom-up. The sink receives the
-     edge unboxed, so the per-dependence walk performs no allocation. *)
+     enclosing construct of its head, bottom-up, following parent
+     handles. The sink receives the edge unboxed, so the per-dependence
+     walk performs no allocation. The root's parent is [Node.none], which
+     [covers] rejects like an active or recycled node. *)
   let walk_depth = Obs.Registry.histogram reg "profiler.walk_depth" in
   (* [depth] counts constructs that received the edge so far, so the
      histogram records exactly how far each attribution walk climbed.
      [walk] closes only over per-run state, never over per-dependence
      values: a closure allocation here would run once per attributed
      dependence (~1.6M times on gzip) and dominate minor-heap traffic. *)
-  let rec walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time (c : Node.t)
-      depth =
-    if Node.covers c head_time then begin
-      Profile.record_edge profile
-        ~cid:(cid_of_label prog c.label)
-        ~head_pc ~tail_pc ~kind ~tdep ~addr;
-      match c.parent with
-      | Some p -> walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time p (depth + 1)
-      | None -> Obs.Histogram.observe walk_depth (depth + 1)
+  let rec walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time c depth =
+    if Node.covers nodes c head_time then begin
+      let label = Node.label nodes c and parent = Node.parent nodes c in
+      Profile.record_edge profile ~cid:(cid_of_label prog label) ~head_pc
+        ~tail_pc ~kind ~tdep ~addr;
+      walk ~kind ~head_pc ~tail_pc ~tdep ~addr ~head_time parent (depth + 1)
     end
     else Obs.Histogram.observe walk_depth depth
   in
@@ -246,6 +246,7 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
         shadow_events = Shadow.Shadow_memory.events shadow;
         pool_allocated = Indexing.Index_tree.pool_allocated tree;
         pool_reused = Indexing.Index_tree.pool_reused tree;
+        pool_words = Indexing.Index_tree.pool_words tree;
         forced_pops = Indexing.Rules.forced_pops rules;
         pruned_pcs =
           (match dep with Some d -> Static.Depend.pruned_count d | None -> 0);

@@ -21,6 +21,9 @@ type stats = {
   shadow_events : int;  (** memory accesses tracked *)
   pool_allocated : int;  (** index-tree nodes ever allocated *)
   pool_reused : int;
+  pool_words : int;
+      (** heap words of the node store and the pool's ring
+          ({!Indexing.Index_tree.pool_words}) *)
   forced_pops : int;  (** should be 0; see {!Indexing.Rules.forced_pops} *)
   pruned_pcs : int;
       (** memory-event pcs the static oracle proved hook-free (0 when the

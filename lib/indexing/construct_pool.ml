@@ -1,5 +1,11 @@
+(* Completed instances wait in a FIFO ring of handles: [ring.(head)] is
+   the oldest, [len] entries follow it (indices modulo the power-of-two
+   ring size). *)
 type t = {
-  q : Node.t Queue.t;
+  nodes : Node.store;
+  mutable ring : int array;
+  mutable head : int;
+  mutable len : int;
   scan_limit : int;
   capacity : int;
   allocated : Obs.Counter.t;
@@ -9,7 +15,10 @@ type t = {
 
 let create ?(scan_limit = 8) ?(capacity = 1_000_000) () =
   {
-    q = Queue.create ();
+    nodes = Node.store ();
+    ring = Array.make 64 0;
+    head = 0;
+    len = 0;
     scan_limit;
     capacity;
     allocated = Obs.Counter.make ();
@@ -17,11 +26,54 @@ let create ?(scan_limit = 8) ?(capacity = 1_000_000) () =
     scan_len = Obs.Histogram.make ();
   }
 
-let retirable ~now (c : Node.t) = now - c.texit >= c.texit - c.tenter
+let nodes t = t.nodes
+
+let retirable nodes ~now c =
+  let texit = Node.texit nodes c in
+  now - texit >= texit - Node.tenter nodes c
 
 let fresh t =
   Obs.Counter.incr t.allocated;
-  Node.make ()
+  Node.alloc t.nodes
+
+let[@inline] pop_head t =
+  let c = Array.unsafe_get t.ring t.head in
+  t.head <- (t.head + 1) land (Array.length t.ring - 1);
+  t.len <- t.len - 1;
+  c
+
+let grow t =
+  let n = Array.length t.ring in
+  let ring = Array.make (2 * n) 0 in
+  for k = 0 to t.len - 1 do
+    ring.(k) <- t.ring.((t.head + k) land (n - 1))
+  done;
+  t.ring <- ring;
+  t.head <- 0
+
+let[@inline] push_tail t c =
+  if t.len = Array.length t.ring then grow t;
+  Array.unsafe_set t.ring ((t.head + t.len) land (Array.length t.ring - 1)) c;
+  t.len <- t.len + 1
+
+(* Examine up to [k] more head entries: return the first retirable one,
+   rotating the others to the tail, or [Node.none]. Top level so an
+   acquire builds no closure. *)
+let rec scan t ~now ~budget k =
+  if k = 0 || t.len = 0 then begin
+    Obs.Histogram.observe t.scan_len (budget - k);
+    Node.none
+  end
+  else
+    let c = pop_head t in
+    if retirable t.nodes ~now c then begin
+      Obs.Histogram.observe t.scan_len (budget - k + 1);
+      c
+    end
+    else begin
+      push_tail t c;
+      scan t ~now ~budget (k - 1)
+    end
 
 let acquire t ~now =
   (* Below capacity, allocate fresh nodes — the paper's pre-allocated 1M
@@ -38,33 +90,19 @@ let acquire t ~now =
     fresh t
   end
   else
-    let budget = min t.scan_limit (Queue.length t.q) in
-    let rec scan k =
-      if k = 0 || Queue.is_empty t.q then begin
-        Obs.Histogram.observe t.scan_len (budget - k);
-        None
-      end
-      else
-        let c = Queue.pop t.q in
-        if retirable ~now c then begin
-          Obs.Histogram.observe t.scan_len (budget - k + 1);
-          Some c
-        end
-        else begin
-          Queue.push c t.q;
-          scan (k - 1)
-        end
-    in
-    match scan budget with
-    | Some c ->
-        Obs.Counter.incr t.reused;
-        c
-    | None -> fresh t
+    let budget = min t.scan_limit t.len in
+    let c = scan t ~now ~budget budget in
+    if c >= 0 then begin
+      Obs.Counter.incr t.reused;
+      c
+    end
+    else fresh t
 
-let release t c = Queue.push c t.q
+let release t c = push_tail t c
 let allocated t = Obs.Counter.get t.allocated
 let reused t = Obs.Counter.get t.reused
-let size t = Queue.length t.q
+let size t = t.len
+let words t = Node.words t.nodes + Array.length t.ring
 
 let register_obs t reg =
   Obs.Registry.register_counter reg "pool.allocated" t.allocated;

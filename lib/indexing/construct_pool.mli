@@ -8,7 +8,11 @@
     would from then on have [Tdep > Tdur(c)] and so cannot change [c]'s
     profile (Theorem 1). If no head entry is retirable a fresh node is
     allocated, so the pool grows only as far as the paper's
-    [O(M·N + L)] bound (within the scan-limit constant). *)
+    [O(M·N + L)] bound (within the scan-limit constant).
+
+    The pool owns the {!Node.store} its nodes live in and hands out
+    handles; completed instances wait in a ring buffer of handles, so
+    acquiring and releasing allocate nothing on the OCaml heap. *)
 
 type t
 
@@ -18,9 +22,14 @@ val create : ?scan_limit:int -> ?capacity:int -> unit -> t
     is the number of nodes allocated before recycling starts; smaller
     capacities trade retention of large-[Tdep] edges for memory. *)
 
+val nodes : t -> Node.store
+(** The store every handle this pool returns lives in. *)
+
 val acquire : t -> now:int -> Node.t
 (** A node safe to (re)use at time [now]: either a retired pool entry or a
-    fresh allocation. The returned node is not in the pool. *)
+    fresh allocation. The returned node is not in the pool; its fields
+    are the previous instance's until the caller stamps it
+    ({!Node.start}). *)
 
 val release : t -> Node.t -> unit
 (** Appends a completed instance at the tail, keeping it addressable for
@@ -34,6 +43,10 @@ val reused : t -> int
 
 val size : t -> int
 (** Completed instances currently held. *)
+
+val words : t -> int
+(** Heap words the node store and the ring occupy ({!Node.words} plus
+    the ring's length). *)
 
 val register_obs : t -> Obs.Registry.t -> unit
 (** Register allocation/reuse counters and the per-acquire scan-length

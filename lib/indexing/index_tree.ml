@@ -1,18 +1,21 @@
 type t = {
   pool : Construct_pool.t;
+  nodes : Node.store;
   mutable stack : Node.t array;
   mutable sp : int;
   mutable time : int;
   o_depth : Obs.Gauge.t;
-  on_push : Node.t -> unit;
-  on_pop : Node.t -> unit;
+  on_push : Node.store -> Node.t -> unit;
+  on_pop : Node.store -> Node.t -> unit;
 }
 
-let create ?scan_limit ?pool_capacity ?(on_push = fun _ -> ())
-    ?(on_pop = fun _ -> ()) () =
+let create ?scan_limit ?pool_capacity ?(on_push = fun _ _ -> ())
+    ?(on_pop = fun _ _ -> ()) () =
+  let pool = Construct_pool.create ?scan_limit ?capacity:pool_capacity () in
   {
-    pool = Construct_pool.create ?scan_limit ?capacity:pool_capacity ();
-    stack = Array.make 64 (Node.make ());
+    pool;
+    nodes = Construct_pool.nodes pool;
+    stack = Array.make 64 Node.none;
     sp = 0;
     time = 0;
     o_depth = Obs.Gauge.make ();
@@ -20,6 +23,7 @@ let create ?scan_limit ?pool_capacity ?(on_push = fun _ -> ())
     on_pop;
   }
 
+let nodes t = t.nodes
 let[@inline] now t = t.time
 let[@inline] tick t = t.time <- t.time + 1
 let[@inline] bulk_tick t n = t.time <- t.time + n
@@ -34,53 +38,55 @@ let[@inline] peek t = t.stack.(t.sp - 1)
 
 let push t ~label ~is_func =
   let c = Construct_pool.acquire t.pool ~now:t.time in
-  c.Node.label <- label;
-  c.Node.tenter <- t.time;
-  c.Node.texit <- 0;
-  c.Node.parent <- top t;
-  c.Node.is_func <- is_func;
+  let parent = if t.sp = 0 then Node.none else t.stack.(t.sp - 1) in
+  Node.start t.nodes c ~label ~is_func ~tenter:t.time ~parent;
   if t.sp = Array.length t.stack then begin
-    let stack = Array.make (2 * t.sp) c in
+    let stack = Array.make (2 * t.sp) Node.none in
     Array.blit t.stack 0 stack 0 t.sp;
     t.stack <- stack
   end;
   t.stack.(t.sp) <- c;
   t.sp <- t.sp + 1;
   Obs.Gauge.set t.o_depth t.sp;
-  t.on_push c;
+  t.on_push t.nodes c;
   c
 
 let pop t =
   if t.sp = 0 then invalid_arg "Index_tree.pop: empty stack";
   t.sp <- t.sp - 1;
   let c = t.stack.(t.sp) in
-  c.Node.texit <- t.time;
-  t.on_pop c;
+  Node.set_texit t.nodes c t.time;
+  t.on_pop t.nodes c;
   Construct_pool.release t.pool c;
   c
 
-let pop_through t ~label =
-  (* Search down to (not through) the nearest function node. *)
-  let rec find i =
-    if i < 0 then None
-    else
-      let c = t.stack.(i) in
-      if c.Node.label = label && not c.Node.is_func then Some i
-      else if c.Node.is_func then None
-      else find (i - 1)
-  in
-  match find (t.sp - 1) with
-  | None -> false
-  | Some i ->
-      while t.sp > i do
-        ignore (pop t)
-      done;
-      true
+(* Stack index of the nearest non-function node labelled [label] at or
+   below [i], searching down to (not through) the nearest function node;
+   -1 if there is none. Top level, so a loop-branch event builds no
+   closure. *)
+let rec find_through t ~label i =
+  if i < 0 then -1
+  else
+    let c = t.stack.(i) in
+    if Node.is_func t.nodes c then -1
+    else if Node.label t.nodes c = label then i
+    else find_through t ~label (i - 1)
 
-let index_of_top t = Array.to_list (Array.sub t.stack 0 t.sp) |> List.map (fun c -> c.Node.label)
+let pop_through t ~label =
+  let i = find_through t ~label (t.sp - 1) in
+  if i < 0 then false
+  else begin
+    while t.sp > i do
+      ignore (pop t)
+    done;
+    true
+  end
+
+let index_of_top t = List.init t.sp (fun i -> Node.label t.nodes t.stack.(i))
 
 let pool_allocated t = Construct_pool.allocated t.pool
 let pool_reused t = Construct_pool.reused t.pool
+let pool_words t = Construct_pool.words t.pool
 
 let register_obs t reg =
   Obs.Registry.register_gauge reg "tree.depth" t.o_depth;

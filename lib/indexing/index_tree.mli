@@ -2,8 +2,14 @@
 
     Maintains the indexing stack (IDS) whose state is the execution index
     of the current point, the clock (retired instruction count), and the
-    construct pool. Completed subtrees stay addressable through parent
-    pointers held by still-referenced nodes until the pool recycles them.
+    construct pool. Nodes are int handles into the pool's flat
+    {!Node.store}; the stack is an int array of handles. Completed
+    subtrees stay addressable through the parent handles of
+    still-referenced nodes until the pool recycles them; a handle to a
+    recycled node fails the {!Node.covers} window check, as a pointer to
+    a recycled node would. Apart from the amortized growth of the stack,
+    the pool's ring and the store, a push, pop or [pop_through] allocates
+    nothing on the OCaml heap and stores no pointer.
 
     The [on_pop] callback observes every completed instance (profile
     aggregation — Table I lines 18–22 — lives in the profiler, which also
@@ -14,12 +20,18 @@ type t
 val create :
   ?scan_limit:int ->
   ?pool_capacity:int ->
-  ?on_push:(Node.t -> unit) ->
-  ?on_pop:(Node.t -> unit) ->
+  ?on_push:(Node.store -> Node.t -> unit) ->
+  ?on_pop:(Node.store -> Node.t -> unit) ->
   unit ->
   t
 (** [on_push]/[on_pop] observe every instance start/completion (the
-    profiler's recursion nesting counters and aggregation hang off these). *)
+    profiler's recursion nesting counters and aggregation hang off these).
+    Each receives the tree's node store with the handle, so it can read
+    the node's fields without a reference to the tree. [on_pop] runs
+    after [texit] is stamped and before the node returns to the pool. *)
+
+val nodes : t -> Node.store
+(** The store every handle of this tree lives in. *)
 
 val now : t -> int
 val tick : t -> unit
@@ -43,7 +55,8 @@ val depth : t -> int
 (** Current stack depth (number of active constructs, the paper's [L]). *)
 
 val top : t -> Node.t option
-(** The enclosing construct of the current execution point. *)
+(** The enclosing construct of the current execution point (tests and
+    examples; hot paths use {!peek}). *)
 
 val peek : t -> Node.t
 (** Option-free {!top} for hot paths that already know the stack is
@@ -53,11 +66,11 @@ val peek : t -> Node.t
 
 val push : t -> label:int -> is_func:bool -> Node.t
 (** Table I [IDS.push]: acquire a node, stamp [tenter = now], link to the
-    current top as parent, push. *)
+    current top as parent ({!Node.none} at the root), push. *)
 
 val pop : t -> Node.t
-(** Table I [IDS.pop]: stamp [texit = now], release to the pool, fire
-    [on_pop]. @raise Invalid_argument on an empty stack. *)
+(** Table I [IDS.pop]: stamp [texit = now], fire [on_pop], release to
+    the pool. @raise Invalid_argument on an empty stack. *)
 
 val pop_through : t -> label:int -> bool
 (** Unwind for rule (4) in the presence of irregular control flow: if a
@@ -74,6 +87,9 @@ val index_of_top : t -> int list
 
 val pool_allocated : t -> int
 val pool_reused : t -> int
+
+val pool_words : t -> int
+(** {!Construct_pool.words}: the node store's real footprint. *)
 
 val register_obs : t -> Obs.Registry.t -> unit
 (** Register the stack-depth gauge (["tree.depth"], whose high-water mark

@@ -16,6 +16,7 @@ type t = {
          {!on_instr_range} can advance the clock in bulk or must probe
          per pc. *)
   tr : Index_tree.t;
+  nodes : Node.store;
   mutable forced : int;
 }
 
@@ -30,7 +31,14 @@ let create ~ipdom ~tree =
     tgt_pfx.(pc + 1) <-
       (tgt_pfx.(pc) + if Bytes.get ipdom_target pc <> '\000' then 1 else 0)
   done;
-  { ipdom; ipdom_target; tgt_pfx; tr = tree; forced = 0 }
+  {
+    ipdom;
+    ipdom_target;
+    tgt_pfx;
+    tr = tree;
+    nodes = Index_tree.nodes tree;
+    forced = 0;
+  }
 
 let tree t = t.tr
 
@@ -40,7 +48,8 @@ let tree t = t.tr
 let rec pops t pc =
   if Index_tree.depth t.tr > 0 then begin
     let c = Index_tree.peek t.tr in
-    if (not c.Node.is_func) && t.ipdom.(c.Node.label) = pc then begin
+    if (not (Node.is_func t.nodes c)) && t.ipdom.(Node.label t.nodes c) = pc
+    then begin
       ignore (Index_tree.pop t.tr);
       pops t pc
     end
@@ -85,20 +94,17 @@ let on_branch t ~pc ~kind ~taken =
 let on_call t ~entry_pc =
   ignore (Index_tree.push t.tr ~label:entry_pc ~is_func:true)
 
-let on_ret t =
-  (* Rule (2). Constructs above the function node whose ipdom was jumped
-     over should not exist (the epilogue post-dominates the body); pop
-     them defensively if present. *)
-  let rec unwind () =
-    match Index_tree.top t.tr with
-    | Some c when not c.Node.is_func ->
-        t.forced <- t.forced + 1;
-        ignore (Index_tree.pop t.tr);
-        unwind ()
-    | Some _ -> ignore (Index_tree.pop t.tr)
-    | None -> invalid_arg "Rules.on_ret: empty stack"
-  in
-  unwind ()
+(* Rule (2). Constructs above the function node whose ipdom was jumped
+   over should not exist (the epilogue post-dominates the body); pop them
+   defensively if present. Top level and option-free: this runs on every
+   return. *)
+let rec on_ret t =
+  if Index_tree.depth t.tr = 0 then invalid_arg "Rules.on_ret: empty stack";
+  let c = Index_tree.pop t.tr in
+  if not (Node.is_func t.nodes c) then begin
+    t.forced <- t.forced + 1;
+    on_ret t
+  end
 
 let finish t =
   while Index_tree.depth t.tr > 0 do

@@ -201,14 +201,14 @@ let fold tr ~head_instance ~loc ~head_off ~tail_off ~kind =
   tr.cross <- tr.cross + 1;
   fold_into tr.folds ~key:((head_instance lsl 32) lor loc) ~head_off ~tail_off ~kind
 
-let on_push tr (c : Indexing.Node.t) =
-  if tr.depth = 0 then tr.cur_start <- c.tenter;
+let on_push tr ~tenter =
+  if tr.depth = 0 then tr.cur_start <- tenter;
   tr.depth <- tr.depth + 1
 
 (* Returns [true] when a procedure future was completed: it is claimed
    where its return value is consumed — immediately after the call unless
    the value is discarded (a [Pop] at the return target). *)
-let on_pop tr (c : Indexing.Node.t) =
+let on_pop tr ~texit =
   tr.depth <- tr.depth - 1;
   if tr.depth = 0 then begin
     let n = tr.n_completed in
@@ -223,7 +223,7 @@ let on_pop tr (c : Indexing.Node.t) =
       tr.stops <- grow tr.stops
     end;
     tr.starts.(n) <- tr.cur_start;
-    tr.stops.(n) <- c.texit;
+    tr.stops.(n) <- texit;
     tr.n_completed <- n + 1;
     tr.is_proc && not tr.pending_claim
   end
@@ -309,24 +309,32 @@ let collect_many ?(engine = Vm.Machine.Register) ?fuel ?(trace_locals = false)
        instruction: the call's return target. *)
     let pending = Array.make (Array.length trackers) trackers.(0) in
     let n_pending = ref 0 in
-    let push_hook (c : Indexing.Node.t) =
-      let ts = by_pc.(c.label) in
+    let push_hook nodes c =
+      let ts = by_pc.(Indexing.Node.label nodes c) in
       for k = 0 to Array.length ts - 1 do
-        on_push ts.(k) c
+        on_push ts.(k) ~tenter:(Indexing.Node.tenter nodes c)
       done
     in
-    let pop_hook (c : Indexing.Node.t) =
-      let ts = by_pc.(c.label) in
+    let pop_hook nodes c =
+      let ts = by_pc.(Indexing.Node.label nodes c) in
       for k = 0 to Array.length ts - 1 do
         let tr = ts.(k) in
-        if on_pop tr c then begin
+        if on_pop tr ~texit:(Indexing.Node.texit nodes c) then begin
           tr.pending_claim <- true;
           pending.(!n_pending) <- tr;
           incr n_pending
         end
       done
     in
-    let tree = Indexing.Index_tree.create ~on_push:push_hook ~on_pop:pop_hook () in
+    (* The hooks read a node only while it is live and the sink ignores
+       the edge's nodes, so no completed node is ever looked at again:
+       the pool needs to retain none, and a zero capacity recycles each
+       node as soon as it is retirable instead of filling the paper's
+       1M-node store. *)
+    let tree =
+      Indexing.Index_tree.create ~pool_capacity:0 ~on_push:push_hook
+        ~on_pop:pop_hook ()
+    in
     let ipdom = (Cfa.Analysis.analyze prog).Cfa.Analysis.ipdom_of_pc in
     let rules = Indexing.Rules.create ~ipdom ~tree in
     let claim_pending ~pc =

@@ -5,7 +5,9 @@ type kind = Raw | War | Waw
 type access = {
   pc : int;  (** static program point *)
   time : int;  (** instruction timestamp *)
-  node : Indexing.Node.t;  (** enclosing construct instance at the event *)
+  node : Indexing.Node.t;
+      (** handle of the enclosing construct instance at the event; the
+          pool may have recycled it since (see {!Indexing.Node.covers}) *)
 }
 
 type t = { kind : kind; head : access; tail : access; addr : int }

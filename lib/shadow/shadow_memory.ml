@@ -15,8 +15,9 @@ type sink =
    one stride-4 array ([cell]) so an access touches a single cache line
    instead of four — on the profiling hot path (one cell probe per
    memory event) the scattered parallel-array layout was measurably
-   slower. Boxed node pointers cannot share that array; they stay in a
-   parallel [w_node].
+   slower. The writer's node handle would make a fifth word, so it
+   stays in a parallel int array [w_node], read only when an edge
+   fires.
 
    Cell layout at [4*addr]: +0 last-write pc (-1 = no write recorded),
    +1 last-write time, +2 read-chain head (-1 = none; else an arena slot
@@ -24,8 +25,13 @@ type sink =
 
    The read arena is a free-listed pool of (pc, time, node) slots
    threaded through the +2 "next" field; layout at [4*slot]: +0 pc,
-   +1 time, +2 next (-1 ends a chain), +3 unused padding that keeps the
-   slot shift a single [lsl 2].
+   +1 time, +2 next (-1 ends a chain), +3 the reader's node handle.
+
+   Node handles are ints ({!Indexing.Node.t}), so no store here is a
+   pointer store: the hot path runs no write barrier, and a stale
+   handle in a released slot or a reset cell retains nothing. Such a
+   handle is never read — [w_node] only while w_pc >= 0, a slot's node
+   only while it is on a chain.
 
    Clearing is lazy for large ranges: a clear pushes (base, seq) on a
    stack whose bases and seqs are both strictly increasing (a new clear
@@ -35,12 +41,11 @@ type sink =
 type t = {
   (* per-address cells, stride 4: w_pc, w_time, r_head, touch *)
   mutable cell : int array;
-  mutable w_node : Node.t array;
+  mutable w_node : Node.t array;  (* writer's node, per address *)
   mutable cap : int;
   mutable hi : int; (* highest address ever touched + 1 *)
-  (* read arena, stride 4: pc, time, next, pad *)
+  (* read arena, stride 4: pc, time, next, node *)
   mutable rn : int array;
-  mutable rn_node : Node.t array;
   mutable free : int;
   (* clear stack: bases and seqs both strictly increasing *)
   mutable cl_base : int array;
@@ -61,7 +66,6 @@ type t = {
      [gen] at 1, so untouched cells always miss. *)
   mutable fr_gen : int array;
   mutable gen : int;
-  dummy : Node.t;
   sink : sink;
   events : Obs.Counter.t;
   deps : Obs.Counter.t;
@@ -106,16 +110,14 @@ let thread_free rn lo hi =
   rn.(((hi - 1) lsl 2) + 2) <- -1
 
 let create ?(sink = no_sink) () =
-  let dummy = Node.make () in
   let rn = Array.make (arena_cap lsl 2) 0 in
   thread_free rn 0 arena_cap;
   {
     cell = make_cells initial_cap;
-    w_node = Array.make initial_cap dummy;
+    w_node = Array.make initial_cap Node.none;
     cap = initial_cap;
     hi = 0;
     rn;
-    rn_node = Array.make arena_cap dummy;
     free = 0;
     cl_base = Array.make 64 0;
     cl_seq = Array.make 64 0;
@@ -124,7 +126,6 @@ let create ?(sink = no_sink) () =
     seq = 0;
     fr_gen = Array.make initial_cap 0;
     gen = 1;
-    dummy;
     sink;
     events = Obs.Counter.make ();
     deps = Obs.Counter.make ();
@@ -156,7 +157,7 @@ let grow_cells t addr =
   let cell = make_cells cap in
   Array.blit t.cell 0 cell 0 (t.cap lsl 2);
   t.cell <- cell;
-  let w_node = Array.make cap t.dummy in
+  let w_node = Array.make cap Node.none in
   Array.blit t.w_node 0 w_node 0 t.cap;
   t.w_node <- w_node;
   let fr_gen = Array.make cap 0 in
@@ -171,14 +172,11 @@ let[@inline] ensure t addr =
   if addr >= t.hi then t.hi <- addr + 1
 
 let grow_arena t =
-  let n = Array.length t.rn_node in
+  let n = Array.length t.rn lsr 2 in
   let cap = 2 * n in
   let rn = Array.make (cap lsl 2) 0 in
   Array.blit t.rn 0 rn 0 (n lsl 2);
   t.rn <- rn;
-  let rn_node = Array.make cap t.dummy in
-  Array.blit t.rn_node 0 rn_node 0 n;
-  t.rn_node <- rn_node;
   thread_free t.rn n cap;
   t.free <- n;
   Obs.Counter.incr t.o_arena_growths;
@@ -197,7 +195,6 @@ let release_chain t addr =
   while !i >= 0 do
     let s = !i lsl 2 in
     let next = t.rn.(s + 2) in
-    t.rn_node.(!i) <- t.dummy;
     t.rn.(s + 2) <- t.free;
     t.free <- !i;
     Obs.Gauge.add t.o_arena_in_use (-1);
@@ -207,7 +204,6 @@ let release_chain t addr =
 
 let reset_cell t addr =
   t.cell.(addr lsl 2) <- -1;
-  t.w_node.(addr) <- t.dummy;
   if t.cell.((addr lsl 2) + 2) >= 0 then release_chain t addr
 
 (* Topmost clear entry with base <= addr (bases ascend): its seq is the
@@ -276,14 +272,14 @@ let read t ~addr ~pc ~time ~node =
   let i = find_slot t.rn pc (Array.unsafe_get t.cell (base + 2)) in
   if i >= 0 then begin
     Array.unsafe_set t.rn ((i lsl 2) + 1) time;
-    Array.unsafe_set t.rn_node i node
+    Array.unsafe_set t.rn ((i lsl 2) + 3) node
   end
   else begin
     let i = alloc_slot t in
     let s = i lsl 2 in
     Array.unsafe_set t.rn s pc;
     Array.unsafe_set t.rn (s + 1) time;
-    Array.unsafe_set t.rn_node i node;
+    Array.unsafe_set t.rn (s + 3) node;
     Array.unsafe_set t.rn (s + 2) (Array.unsafe_get t.cell (base + 2));
     Array.unsafe_set t.cell (base + 2) i
   end;
@@ -316,10 +312,9 @@ let write t ~addr ~pc ~time ~node =
     t.sink ~kind:Dependence.War
       ~head_pc:(Array.unsafe_get t.rn s)
       ~head_time:(Array.unsafe_get t.rn (s + 1))
-      ~head_node:(Array.unsafe_get t.rn_node !i) ~tail_pc:pc ~tail_time:time
+      ~head_node:(Array.unsafe_get t.rn (s + 3)) ~tail_pc:pc ~tail_time:time
       ~tail_node:node ~addr;
     let next = Array.unsafe_get t.rn (s + 2) in
-    Array.unsafe_set t.rn_node !i t.dummy;
     Array.unsafe_set t.rn (s + 2) t.free;
     t.free <- !i;
     Obs.Gauge.add t.o_arena_in_use (-1);

@@ -14,6 +14,16 @@
     an unboxed {!sink} callback instead of a materialized
     {!Dependence.t} record.
 
+    Each access carries the enclosing construct instance as an
+    {!Indexing.Node.t} handle, an int, and the tables keep it as one:
+    the writer's in an int array beside the cells, each reader's in its
+    arena slot. Storing a handle is a plain int store, with no write
+    barrier and nothing kept alive. Shadow memory never reads a node; it
+    hands the recorded handle back as the edge's [head_node]. By then
+    the pool may have recycled that node, which the consumer detects
+    with {!Indexing.Node.covers} on [head_time] (the paper's window
+    check, Table II line 7).
+
     {!clear_from} drops history for a released stack frame, relying on
     the VM's stack discipline (a released frame is always the top of the
     live address space, so invalidating everything at or above [base] is

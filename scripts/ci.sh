@@ -71,6 +71,24 @@ for spec in par2:64 aes:1024 delaunay:8000; do
 done
 echo "explore goldens: transcripts byte-identical"
 
+# Recycling goldens: at Table III scale bzip2 and delaunay overflow the
+# default 1M-node construct pool, so their profiles depend on how
+# completed index nodes are recycled. The saved profiles must match the
+# ones in test/golden byte for byte, and the run must really have
+# recycled (pool.reused > 0), or the goldens no longer exercise reuse.
+for w in bzip2 delaunay; do
+  dune exec --no-build -- alchemist profile "workload:$w" \
+    --save "$tmpdir/profile-$w.prof" --telemetry=json > "$tmpdir/profile-$w.json"
+  if ! cmp "$tmpdir/profile-$w.prof" "test/golden/profile-$w.prof"; then
+    echo "profile of $w diverged from test/golden" >&2
+    exit 1
+  fi
+  reused=$(sed -n 's/^ *"pool.reused": \([0-9]*\).*/\1/p' "$tmpdir/profile-$w.json")
+  [ -n "$reused" ] || { echo "pool.reused missing from $w telemetry" >&2; exit 1; }
+  [ "$reused" -gt 0 ] || { echo "$w no longer recycles index nodes" >&2; exit 1; }
+done
+echo "recycling goldens: profiles byte-identical, pool recycled"
+
 # Static checker over every registry workload: CFA validation
 # (Cfa.Analysis.validate — any discrepancy fails), prune-on/prune-off
 # byte-identity, profile round-trip, and the dynamic-profile sanitizer —

@@ -6,40 +6,114 @@ module Pool = Indexing.Construct_pool
 module Tree = Indexing.Index_tree
 module Rules = Indexing.Rules
 
+(* --- node store ------------------------------------------------------------ *)
+
+(* Chunk 0 grows by copying and later chunks are added whole: every node
+   must keep its fields across both, and a handle outside the store must
+   raise rather than read another node. *)
+let test_node_store_chunks () =
+  let s = Node.store () in
+  let n = (2 * Node.chunk_nodes) + 5 in
+  let hs = Array.init n (fun _ -> Node.alloc s) in
+  Alcotest.(check (list int)) "handles are dense" (List.init n Fun.id)
+    (Array.to_list hs);
+  Alcotest.(check int) "fresh label" (-1) (Node.label s hs.(n - 1));
+  Alcotest.(check int) "fresh parent" Node.none (Node.parent s hs.(0));
+  Array.iteri
+    (fun i h ->
+      Node.start s h ~label:(i mod 1000) ~is_func:(i mod 3 = 0) ~tenter:i
+        ~parent:(i - 1);
+      Node.set_texit s h (i + 7))
+    hs;
+  let ok = ref true in
+  Array.iteri
+    (fun i h ->
+      if
+        Node.label s h <> i mod 1000
+        || Node.is_func s h <> (i mod 3 = 0)
+        || Node.tenter s h <> i
+        || Node.texit s h <> i + 7
+        || Node.parent s h <> i - 1
+        || Node.duration s h <> 7
+        || not (Node.covers s h (i + 6))
+        || Node.covers s h (i + 7)
+      then ok := false)
+    hs;
+  Alcotest.(check bool) "fields survive chunk growth" true !ok;
+  Alcotest.(check bool) "none covers nothing" false (Node.covers s Node.none 0);
+  Alcotest.(check int) "three full chunks" (3 * 4 * Node.chunk_nodes)
+    (Node.words s - 4);
+  match Node.label s (4 * Node.chunk_nodes) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a handle past the store was read"
+
 (* --- construct pool -------------------------------------------------------- *)
+
+(* Stamp [n] as a completed instance [tenter, texit), as a push and a
+   pop through Index_tree would. *)
+let stamp pool n ~tenter ~texit =
+  let nodes = Pool.nodes pool in
+  Node.start nodes n ~label:0 ~is_func:false ~tenter ~parent:Node.none;
+  Node.set_texit nodes n texit
 
 let test_pool_reuse () =
   let pool = Pool.create ~capacity:1 () in
   (* A completed instance [10,20) is retirable at time >= 30. *)
   let n = Pool.acquire pool ~now:0 in
-  n.Node.tenter <- 10;
-  n.Node.texit <- 20;
+  stamp pool n ~tenter:10 ~texit:20;
   Pool.release pool n;
   let n2 = Pool.acquire pool ~now:25 in
-  Alcotest.(check bool) "not recycled before window" true (n2 != n);
+  Alcotest.(check bool) "not recycled before window" true (n2 <> n);
   Pool.release pool n2;
-  (* note: n2 is fresh (tenter=texit=0 from make? acquired node reused fields) *)
+  (* n2 is fresh: its zero stamps make it retirable at once, but n is
+     older and now retirable too, so the head scan returns n first *)
   let n3 = Pool.acquire pool ~now:31 in
-  Alcotest.(check bool) "head recycled after window" true (n3 == n)
+  Alcotest.(check int) "head recycled after window" n n3
 
 let test_pool_counts () =
   let pool = Pool.create ~capacity:2 () in
   let a = Pool.acquire pool ~now:0 in
   let b = Pool.acquire pool ~now:0 in
   Alcotest.(check int) "allocated" 2 (Pool.allocated pool);
-  a.Node.tenter <- 0;
-  a.Node.texit <- 1;
+  stamp pool a ~tenter:0 ~texit:1;
   Pool.release pool a;
-  b.Node.tenter <- 0;
-  b.Node.texit <- 1;
+  stamp pool b ~tenter:0 ~texit:1;
   Pool.release pool b;
   let _ = Pool.acquire pool ~now:100 in
   Alcotest.(check int) "reused" 1 (Pool.reused pool);
   Alcotest.(check int) "no new allocation" 2 (Pool.allocated pool)
 
+(* The ring keeps FIFO order across its own growth, also when its tail
+   has wrapped around before it grows: the scan examines the oldest
+   completions first, and non-retirable ones rotate to the tail. *)
+let test_pool_ring_fifo () =
+  let pool = Pool.create ~capacity:300 () in
+  let hs = Array.init 300 (fun _ -> Pool.acquire pool ~now:0) in
+  (* hs.(i) completes [i, i+1000): retirable from now = i + 2000 *)
+  Array.iteri (fun i h -> stamp pool h ~tenter:i ~texit:(i + 1000)) hs;
+  (* fill the initial 64 slots, free the first, then wrap the tail into
+     it before the ring has to grow *)
+  for i = 0 to 63 do
+    Pool.release pool hs.(i)
+  done;
+  Alcotest.(check int) "oldest first" hs.(0) (Pool.acquire pool ~now:2000);
+  for i = 64 to 299 do
+    Pool.release pool hs.(i)
+  done;
+  Alcotest.(check int) "ring holds the rest" 299 (Pool.size pool);
+  Alcotest.(check int) "next oldest" hs.(1) (Pool.acquire pool ~now:2003);
+  (* at now = 0 nothing is retirable: 8 entries rotate to the tail and a
+     fresh node (handle 300) is allocated *)
+  Alcotest.(check int) "fresh handle" 300 (Pool.acquire pool ~now:0);
+  Alcotest.(check int) "rotated, not lost" 298 (Pool.size pool);
+  let drained = List.init 298 (fun _ -> Pool.acquire pool ~now:1_000_000) in
+  Alcotest.(check (list int)) "FIFO order, rotated entries last"
+    (List.init 290 (fun i -> hs.(i + 10)) @ List.init 8 (fun i -> hs.(i + 2)))
+    drained
+
 (* Staleness safety: a recycled node can never satisfy [covers] for a
    timestamp recorded during its previous lifetime. *)
-let test_pool_staleness_qcheck () =
+let test_pool_staleness_single () =
   let gen =
     QCheck.Gen.(
       tup3 (int_range 0 1000) (int_range 1 1000) (int_range 0 2000))
@@ -47,20 +121,19 @@ let test_pool_staleness_qcheck () =
   let prop (tenter, dur, gap) =
     let texit = tenter + dur in
     let pool = Pool.create ~capacity:1 () in
+    let nodes = Pool.nodes pool in
     let n = Pool.acquire pool ~now:tenter in
-    n.Node.tenter <- tenter;
-    n.Node.texit <- texit;
+    stamp pool n ~tenter ~texit;
     Pool.release pool n;
     let now = texit + gap in
     let n2 = Pool.acquire pool ~now in
-    if n2 == n then begin
+    if n2 = n then begin
       (* Simulate reuse stamping as Index_tree.push does. *)
-      n.Node.tenter <- now;
-      n.Node.texit <- 0;
+      Node.start nodes n ~label:0 ~is_func:false ~tenter:now ~parent:Node.none;
       (* No old timestamp may still fall in the window. *)
       let ok = ref true in
       for th = tenter to texit - 1 do
-        if Node.covers n th then ok := false
+        if Node.covers nodes n th then ok := false
       done;
       !ok
     end
@@ -70,25 +143,181 @@ let test_pool_staleness_qcheck () =
     (QCheck.Test.make ~name:"recycled node never covers old timestamps"
        ~count:500 (QCheck.make gen) prop)
 
+(* A reference model of the tree: a stack of records. *)
+type model_node = {
+  m_handle : int;  (* what the tree's push returned *)
+  m_label : int;
+  m_func : bool;
+  m_tenter : int;
+  m_parent_label : int;  (* -1 at the root *)
+}
+
+type op = Tick of int | Push of int * bool | Pop | Pop_through of int | Ret
+
+let pp_op = function
+  | Tick n -> Printf.sprintf "tick %d" n
+  | Push (l, f) -> Printf.sprintf "push %d%s" l (if f then " fn" else "")
+  | Pop -> "pop"
+  | Pop_through l -> Printf.sprintf "pop_through %d" l
+  | Ret -> "ret"
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun n -> Tick n) (int_range 1 6));
+        ( 3,
+          map2
+            (fun l f -> Push (l, f = 0))
+            (int_range 0 4) (int_bound 3) );
+        (2, return Pop);
+        (2, map (fun l -> Pop_through l) (int_range 0 4));
+        (1, return Ret);
+      ])
+
+(* Random push/pop/pop_through/ret schedules under a pool of at most 4
+   nodes, so handles are recycled constantly. Every popped handle must
+   carry the model's label, tenter, texit and parent label (the parent
+   is below the child on the stack, so it is still live when the child
+   pops); a live handle is never handed out again; and a recycled
+   handle's new window starts at or after its previous [texit], so it
+   covers no timestamp of its previous lifetime. *)
+let test_pool_staleness_schedule () =
+  let gen =
+    QCheck.Gen.(pair (int_range 0 4) (list_size (int_range 1 200) gen_op))
+  in
+  let prop (cap, ops) =
+    let popped = Queue.create () in
+    let on_pop nodes c =
+      let p = Node.parent nodes c in
+      Queue.push
+        ( c,
+          Node.label nodes c,
+          Node.tenter nodes c,
+          Node.texit nodes c,
+          if p = Node.none then -1 else Node.label nodes p )
+        popped
+    in
+    let t = Tree.create ~pool_capacity:cap ~on_pop () in
+    let rules = Rules.create ~ipdom:[||] ~tree:t in
+    let nodes = Tree.nodes t in
+    let last_texit = Hashtbl.create 16 in
+    let model = ref [] in
+    (* the model pops its top; the tree must have reported the same *)
+    let expect_pop () =
+      match !model with
+      | [] -> QCheck.Test.fail_report "model underflow"
+      | m :: ms ->
+          model := ms;
+          let h, label, tenter, texit, parent_label =
+            match Queue.take_opt popped with
+            | Some p -> p
+            | None -> QCheck.Test.fail_report "tree popped too few"
+          in
+          if h <> m.m_handle then
+            QCheck.Test.fail_reportf "popped handle %d, model %d" h m.m_handle;
+          if label <> m.m_label then QCheck.Test.fail_report "label";
+          if tenter <> m.m_tenter then QCheck.Test.fail_report "tenter";
+          if texit <> Tree.now t then QCheck.Test.fail_report "texit";
+          if parent_label <> m.m_parent_label then
+            QCheck.Test.fail_reportf "parent label %d, model %d" parent_label
+              m.m_parent_label;
+          Hashtbl.replace last_texit h texit;
+          m
+    in
+    List.iter
+      (fun op ->
+        (match op with
+        | Tick n -> Tree.bulk_tick t n
+        | Push (label, is_func) ->
+            let parent_label =
+              match !model with m :: _ -> m.m_label | [] -> -1
+            in
+            let h = Tree.push t ~label ~is_func in
+            if List.exists (fun m -> m.m_handle = h) !model then
+              QCheck.Test.fail_reportf "live handle %d handed out again" h;
+            (match Hashtbl.find_opt last_texit h with
+            | Some texit when Node.tenter nodes h < texit ->
+                QCheck.Test.fail_reportf "handle %d recycled at %d before %d" h
+                  (Node.tenter nodes h) texit
+            | _ -> ());
+            model :=
+              {
+                m_handle = h;
+                m_label = label;
+                m_func = is_func;
+                m_tenter = Tree.now t;
+                m_parent_label = parent_label;
+              }
+              :: !model
+        | Pop ->
+            if !model <> [] then begin
+              ignore (Tree.pop t);
+              ignore (expect_pop ())
+            end
+        | Pop_through label ->
+            let rec depth k = function
+              | [] -> 0
+              | m :: _ when m.m_func -> 0
+              | m :: _ when m.m_label = label -> k
+              | _ :: ms -> depth (k + 1) ms
+            in
+            let n = depth 1 !model in
+            if Tree.pop_through t ~label <> (n > 0) then
+              QCheck.Test.fail_reportf "pop_through %d answered wrongly" label;
+            for _ = 1 to n do
+              ignore (expect_pop ())
+            done
+        | Ret ->
+            (* Rules.on_ret unwinds through the nearest function node *)
+            if List.exists (fun m -> m.m_func) !model then begin
+              Rules.on_ret rules;
+              while not (expect_pop ()).m_func do
+                ()
+              done
+            end);
+        if not (Queue.is_empty popped) then
+          QCheck.Test.fail_reportf "tree popped more than the model";
+        if Tree.depth t <> List.length !model then
+          QCheck.Test.fail_report "depth")
+      ops;
+    true
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"handles match a list-of-records model" ~count:300
+       (QCheck.make
+          ~print:(fun (cap, ops) ->
+            Printf.sprintf "cap %d: %s" cap
+              (String.concat "; " (List.map pp_op ops)))
+          gen)
+       prop)
+
+let test_pool_staleness_qcheck () =
+  test_pool_staleness_single ();
+  test_pool_staleness_schedule ()
+
 (* --- index tree ------------------------------------------------------------ *)
 
 let test_tree_push_pop () =
   let popped = ref [] in
-  let t = Tree.create ~on_pop:(fun c -> popped := c.Node.label :: !popped) () in
+  let t =
+    Tree.create ~on_pop:(fun nodes c -> popped := Node.label nodes c :: !popped) ()
+  in
+  let nodes = Tree.nodes t in
   Tree.tick t;
-  let _a = Tree.push t ~label:1 ~is_func:true in
+  let a = Tree.push t ~label:1 ~is_func:true in
   Tree.tick t;
   let b = Tree.push t ~label:2 ~is_func:false in
   Alcotest.(check (option int)) "top is b" (Some 2)
-    (Option.map (fun c -> c.Node.label) (Tree.top t));
+    (Option.map (Node.label nodes) (Tree.top t));
   Alcotest.(check (list int)) "index" [ 1; 2 ] (Tree.index_of_top t);
-  Alcotest.(check bool) "parent link" true
-    (match b.Node.parent with Some p -> p.Node.label = 1 | None -> false);
+  Alcotest.(check int) "parent link" a (Node.parent nodes b);
+  Alcotest.(check int) "root has no parent" Node.none (Node.parent nodes a);
   Tree.tick t;
   let b' = Tree.pop t in
-  Alcotest.(check bool) "pop returns top" true (b == b');
-  Alcotest.(check int) "texit stamped" 3 b'.Node.texit;
-  Alcotest.(check int) "tenter stamped" 2 b'.Node.tenter;
+  Alcotest.(check int) "pop returns top" b b';
+  Alcotest.(check int) "texit stamped" 3 (Node.texit nodes b');
+  Alcotest.(check int) "tenter stamped" 2 (Node.tenter nodes b');
   ignore (Tree.pop t);
   Alcotest.(check (list int)) "pop order" [ 1; 2 ] !popped;
   Alcotest.(check int) "empty" 0 (Tree.depth t)
@@ -283,7 +512,7 @@ let test_pool_bound_long_loop () =
   let prog = Vm.Compile.compile_source src in
   let a = Cfa.Analysis.analyze prog in
   let pops = ref 0 in
-  let tree = Tree.create ~pool_capacity:16 ~on_pop:(fun _ -> incr pops) () in
+  let tree = Tree.create ~pool_capacity:16 ~on_pop:(fun _ _ -> incr pops) () in
   let rules = Rules.create ~ipdom:a.Cfa.Analysis.ipdom_of_pc ~tree in
   let hooks =
     {
@@ -321,11 +550,9 @@ let test_pool_scan_len_telemetry () =
   Alcotest.(check (pair int int)) "fresh path observed" (2, 0) (dist ());
   (* Churn at capacity: instances [0,10) only retire at now >= 20, so the
      next acquire scans and rotates both entries without reusing. *)
-  a.Node.tenter <- 0;
-  a.Node.texit <- 10;
+  stamp pool a ~tenter:0 ~texit:10;
   Pool.release pool a;
-  b.Node.tenter <- 0;
-  b.Node.texit <- 10;
+  stamp pool b ~tenter:0 ~texit:10;
   Pool.release pool b;
   (* now=12 < 20: neither is retirable; scan walks both and allocates. *)
   let _ = Pool.acquire pool ~now:12 in
@@ -361,8 +588,10 @@ let test_pool_churn_profiled () =
 
 let suite =
   [
+    ("node store chunks", `Quick, test_node_store_chunks);
     ("pool reuse window", `Quick, test_pool_reuse);
     ("pool counts", `Quick, test_pool_counts);
+    ("pool ring fifo", `Quick, test_pool_ring_fifo);
     ("pool scan_len telemetry", `Quick, test_pool_scan_len_telemetry);
     ("pool churn profiled", `Quick, test_pool_churn_profiled);
     ("pool staleness (qcheck)", `Quick, test_pool_staleness_qcheck);

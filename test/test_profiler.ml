@@ -457,6 +457,49 @@ let test_pool_churn_signatures () =
     (s.Profiler.pool_reused > 0);
   Alcotest.(check bool) "at capacity: scans ran" true (scan_sum tight > 0)
 
+(* Recycling goldens: profiles under a 16-node pool, where nearly every
+   construct instance runs on a recycled node, saved before the index
+   nodes became handles into a flat store. Handle reuse must reproduce
+   them byte for byte. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_recycling_golden name () =
+  let w = Workloads.Registry.find name in
+  let prog = Workloads.Workload.compile w ~scale:w.Workloads.Workload.test_scale in
+  let r = Profiler.run ~pool_capacity:16 prog in
+  Alcotest.(check bool) "the pool recycles" true
+    (r.Profiler.stats.Profiler.pool_reused > 0);
+  Alcotest.(check string) "byte-identical to the golden"
+    (read_file (Printf.sprintf "golden/pool16-%s.prof" name))
+    (Alchemist.Profile_io.to_string r.Profiler.profile)
+
+(* The profiling hot path allocates nothing per event: minor-heap words
+   allocated by a run must not grow with the number of construct
+   instances. One program at two scales under a 16-node pool, so the
+   at-capacity scan and handle reuse run on nearly every push; the
+   static facts are prepared outside the measured window. *)
+let test_allocation_flat () =
+  let w = Workloads.Registry.find "197.parser" in
+  let measure scale =
+    let prog = Workloads.Workload.compile w ~scale in
+    let facts = Profiler.prepare_facts prog in
+    let m0 = Gc.minor_words () in
+    let r = Profiler.run ~facts ~pool_capacity:16 prog in
+    let m1 = Gc.minor_words () in
+    (m1 -. m0, r.Profiler.stats.Profiler.dynamic_constructs,
+     r.Profiler.stats.Profiler.pool_reused)
+  in
+  let scale = w.Workloads.Workload.test_scale in
+  let m1, d1, _ = measure scale in
+  let m2, d2, reused = measure (2 * scale) in
+  Alcotest.(check bool) "the larger run recycles" true (reused > d1);
+  let per_instance = (m2 -. m1) /. float_of_int (d2 - d1) in
+  if per_instance > 0.1 then
+    Alcotest.failf
+      "%.0f -> %.0f minor words for %d -> %d construct instances (%.2f words \
+       per extra instance)"
+      m1 m2 d1 d2 per_instance
+
 let test_report_renders () =
   let src =
     {|int g;
@@ -526,6 +569,9 @@ let suite =
     ("remove with singletons", `Quick, test_remove_with_singletons);
     ("stats sane", `Quick, test_stats_sane);
     ("pool churn signatures", `Quick, test_pool_churn_signatures);
+    ("recycling golden gzip", `Quick, test_recycling_golden "gzip-1.3.5");
+    ("recycling golden li", `Quick, test_recycling_golden "130.li");
+    ("allocation flat in construct instances", `Quick, test_allocation_flat);
     ("report renders", `Quick, test_report_renders);
     ("scatter normalization", `Quick, test_scatter_normalization);
     ("scatter svg", `Quick, test_scatter_svg);

@@ -3,7 +3,12 @@
 module SM = Shadow.Shadow_memory
 module Dep = Shadow.Dependence
 
-let node () = Indexing.Node.make ()
+(* Shadow memory never dereferences a node handle; any distinct ints do. *)
+let next_node = ref 0
+
+let node () =
+  incr next_node;
+  !next_node
 
 let collect () =
   let deps = ref [] in
@@ -285,6 +290,37 @@ let test_random_sequences_qcheck () =
     (QCheck.Test.make ~name:"random access sequences" ~count:300
        (QCheck.make gen) prop)
 
+(* Node handles are kept as plain ints: the writer's beside the cell,
+   each reader's in its arena slot. Every edge must hand back the handle
+   recorded with its head, including from a slot updated in place and
+   from a freed slot reused for another address. *)
+let test_node_handles () =
+  let sm, got = collect () in
+  let edge (d : Dep.t) =
+    (Dep.kind_to_string d.Dep.kind, d.Dep.head.Dep.node, d.Dep.tail.Dep.node)
+  in
+  SM.write sm ~addr:2 ~pc:10 ~time:1 ~node:11;
+  SM.read sm ~addr:2 ~pc:20 ~time:2 ~node:12;
+  SM.read sm ~addr:2 ~pc:21 ~time:3 ~node:13;
+  (* same static pc: its slot now carries node 14 *)
+  SM.read sm ~addr:2 ~pc:20 ~time:4 ~node:14;
+  SM.write sm ~addr:2 ~pc:30 ~time:5 ~node:15;
+  (* the write freed both read slots; this read takes one of them *)
+  SM.read sm ~addr:3 ~pc:40 ~time:6 ~node:16;
+  SM.write sm ~addr:3 ~pc:50 ~time:7 ~node:17;
+  Alcotest.(check (list (triple string int int)))
+    "head and tail handles"
+    [
+      ("RAW", 11, 12);
+      ("RAW", 11, 13);
+      ("RAW", 11, 14);
+      ("WAW", 11, 15);
+      ("WAR", 13, 15);
+      ("WAR", 14, 15);
+      ("WAR", 16, 17);
+    ]
+    (List.map edge (got ()))
+
 let suite =
   [
     ("raw", `Quick, test_raw);
@@ -304,5 +340,6 @@ let suite =
     ("freshen memo counter", `Quick, test_freshen_memo_counter);
     ("no-op clear keeps memo sound", `Quick, test_noop_clear_keeps_memo_sound);
     ("counters", `Quick, test_counters);
+    ("node handles", `Quick, test_node_handles);
     ("random sequences (qcheck)", `Quick, test_random_sequences_qcheck);
   ]
