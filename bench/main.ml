@@ -423,7 +423,9 @@ let baseline () =
 (* --- bechamel microbenches (E14) ----------------------------------------------- *)
 
 let micro () =
-  header "Microbenches (bechamel, ns/op) — indexing and shadow primitives";
+  header
+    "Microbenches (bechamel, ns/op and minor words/op) — indexing and shadow \
+     primitives";
   let open Bechamel in
   let tree = Indexing.Index_tree.create () in
   let bench_push_pop =
@@ -499,23 +501,29 @@ let micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
+  let instances = Toolkit.Instance.[ monotonic_clock; minor_allocated ] in
+  (* No full major GC or compaction before each sample: a primitive that
+     allocates is then charged the collections its garbage causes, as it
+     is inside a real run. *)
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~stabilize:false
+      ~compaction:false ()
   in
-  List.iter
-    (fun (name, est) -> Printf.printf "%-32s %12.1f ns/op\n" name est)
-    rows;
+  let raw = Benchmark.all cfg instances tests in
+  let estimate instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Analyze.OLS.estimates (Hashtbl.find results name) with
+      | Some (e :: _) -> e
+      | _ -> nan
+  in
+  let ns = estimate Toolkit.Instance.monotonic_clock in
+  let words = estimate Toolkit.Instance.minor_allocated in
+  Hashtbl.fold (fun name _ acc -> name :: acc) raw []
+  |> List.sort compare
+  |> List.iter (fun name ->
+         Printf.printf "%-32s %12.1f ns/op %12.1f minor words/op\n" name (ns name)
+           (words name));
   print_endline
     "\n(vm/profiled vs vm/plain is the per-program overhead Table III\n\
      aggregates; push+pop/shadow are the per-event costs behind it.)"

@@ -92,6 +92,23 @@ let handle_errors f =
 
 open Cmdliner
 
+(* An integer option with a floor, checked while parsing so a bad value
+   is a usage error rather than a failure deep in the run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let cores_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 4
+    & info [ "cores" ] ~doc:"Worker threads (at least 1).")
+
 let src_arg =
   Arg.(
     required
@@ -144,7 +161,10 @@ let run_cmd =
 
 let profile_cmd =
   let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Constructs to list.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 10
+      & info [ "top" ] ~doc:"Constructs to list.")
   in
   let edges =
     Arg.(value & opt int 8 & info [ "edges" ] ~doc:"Edges per construct.")
@@ -265,9 +285,6 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "proc" ] ~doc:"Parallelize calls to this procedure.")
   in
-  let cores =
-    Arg.(value & opt int 4 & info [ "cores" ] ~doc:"Worker threads.")
-  in
   let privatize =
     Arg.(
       value
@@ -316,7 +333,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Simulate future-style parallel execution of one construct.")
     Term.(
-      const simulate $ src_arg $ fuel_arg $ loop_line $ proc $ cores $ privatize
+      const simulate $ src_arg $ fuel_arg $ loop_line $ proc $ cores_arg $ privatize
       $ reduce $ gantt)
 
 (* --- advise --------------------------------------------------------------- *)
@@ -336,7 +353,8 @@ let advise_cmd =
   in
   let top =
     Arg.(
-      value & opt int 5
+      value
+      & opt (int_at_least 0) 5
       & info [ "top" ] ~doc:"Without --loop-line/--proc: advise on the top N \
                              ranked constructs.")
   in
@@ -382,7 +400,10 @@ let report_cmd =
       & info [ "profile" ] ~docv:"FILE" ~doc:"Saved profile (see profile --save).")
   in
   let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Constructs to list.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 10
+      & info [ "top" ] ~doc:"Constructs to list.")
   in
   let report spec prof_file top =
     handle_errors (fun () ->
@@ -405,11 +426,11 @@ let report_cmd =
 (* --- explore ---------------------------------------------------------------- *)
 
 let explore_cmd =
-  let cores =
-    Arg.(value & opt int 4 & info [ "cores" ] ~doc:"Worker threads.")
-  in
   let top =
-    Arg.(value & opt int 8 & info [ "top" ] ~doc:"Candidates to examine.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 8
+      & info [ "top" ] ~doc:"Candidates to examine.")
   in
   let explore spec fuel cores top =
     handle_errors (fun () ->
@@ -428,7 +449,7 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Full workflow: profile, rank, advise, and simulate the top \
              candidates.")
-    Term.(const explore $ src_arg $ fuel_arg $ cores $ top)
+    Term.(const explore $ src_arg $ fuel_arg $ cores_arg $ top)
 
 (* --- profile-all ----------------------------------------------------------- *)
 

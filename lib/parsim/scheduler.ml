@@ -14,96 +14,170 @@ type schedule = {
   placements : task_schedule array;
 }
 
-(* Per-instance stall profile: (tail_off, accumulated stall at and after
-   that offset), ascending. The head of a downstream constraint executes at
-   [start + off + stalls_before off]. *)
-type profile = { start : int; stalls : (int * int) list }
+module Flat = struct
+  type t = {
+    seq_time : int;
+    par_time : int;
+    speedup : float;
+    stall_time : int;
+    busy : int array;
+    core : int array;
+    start : int array;
+    finish : int array;
+  }
+end
 
-let stalls_before (p : profile) off =
-  let rec go acc = function
-    | (o, s) :: rest when o <= off -> go (acc + s) rest
-    | _ -> acc
-  in
-  go 0 p.stalls
+(* Per-instance stall profiles, appended instance by instance: instance
+   [m]'s stalls are entries [first.(m) .. first.(m+1) - 1], each a tail
+   offset and the stall accumulated at and before it, in ascending
+   offset order. The head of a downstream constraint executes at [start
+   + off + (the accumulated stall of the last entry at or before off)]. *)
+type stalls = {
+  first : int array;
+  mutable off : int array;
+  mutable cum : int array;
+  mutable len : int;
+}
 
-let exec_time (p : profile) off = p.start + off + stalls_before p off
+let push_stall st ~off ~cum =
+  if st.len = Array.length st.off then begin
+    let size = max 64 (2 * st.len) in
+    let grow a =
+      let b = Array.make size 0 in
+      Array.blit a 0 b 0 st.len;
+      b
+    in
+    st.off <- grow st.off;
+    st.cum <- grow st.cum
+  end;
+  st.off.(st.len) <- off;
+  st.cum.(st.len) <- cum;
+  st.len <- st.len + 1
 
-(* Constraints grouped by tail location, sorted by tail offset so stall
-   accumulation within an instance/segment is processed in order. One
-   counting pass lays the buckets out in one array: bucket [b] is
-   [items.(first.(b)) .. items.(first.(b+1) - 1)], locations outside
-   [0, n) are left out. Within a bucket the constraints come in reverse
-   list order, then stably sorted by [tail_off]. *)
-type buckets = { first : int array; items : Task_graph.folded_constraint array }
-
-let buckets ~n ~select (g : Task_graph.t) =
-  let first = Array.make (n + 1) 0 in
-  List.iter
-    (fun (c : Task_graph.folded_constraint) ->
-      let b = select c.location in
-      if b >= 0 && b < n then first.(b + 1) <- first.(b + 1) + 1)
-    g.constraints;
-  for b = 1 to n do
-    first.(b) <- first.(b) + first.(b - 1)
-  done;
-  match g.constraints with
-  | [] -> { first; items = [||] }
-  | c0 :: _ ->
-      let items = Array.make first.(n) c0 in
-      (* each bucket filled from its end: reverse list order *)
-      let fill = Array.sub first 1 n in
-      List.iter
-        (fun (c : Task_graph.folded_constraint) ->
-          let b = select c.location in
-          if b >= 0 && b < n then begin
-            fill.(b) <- fill.(b) - 1;
-            items.(fill.(b)) <- c
-          end)
-        g.constraints;
-      for b = 0 to n - 1 do
-        let lo = first.(b) and len = first.(b + 1) - first.(b) in
-        if len > 1 then begin
-          let a = Array.sub items lo len in
-          Array.stable_sort
-            (fun (x : Task_graph.folded_constraint) y ->
-              Int.compare x.tail_off y.tail_off)
-            a;
-          Array.blit a 0 items lo len
-        end
+let exec_time st (start : int array) h off =
+  let lo = st.first.(h) and hi = st.first.(h + 1) in
+  let stalled =
+    if hi = lo || st.off.(lo) > off then 0
+    else begin
+      (* invariant: off.(lo) <= off < off.(hi) (hi may be the end) *)
+      let lo = ref lo and hi = ref hi in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) lsr 1 in
+        if st.off.(mid) <= off then lo := mid else hi := mid
       done;
-      { first; items }
+      st.cum.(!lo)
+    end
+  in
+  start.(h) + off + stalled
 
-let simulate ?(config = default_config) (g : Task_graph.t) =
-  let n = Array.length g.instances in
-  let profiles = Array.make (max n 1) { start = 0; stalls = [] } in
-  let finish = Array.make (max n 1) 0 in
-  let cores_of = Array.make (max n 1) 0 in
+(* Stable merge of two sorted runs of constraint numbers, src.(lo ..
+   mid-1) and src.(mid .. hi-1), into dst, by tail offset. *)
+let merge (cons : int array) (src : int array) (dst : int array) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if
+      !i < mid
+      && (!j >= hi || cons.((src.(!i) lsl 2) + 2) <= cons.((src.(!j) lsl 2) + 2))
+    then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+(* Loads the constraints [first .. first + len - 1] into [order] stably
+   sorted by tail offset: a bottom-up merge sort that ping-pongs between
+   [order] and the scratch buffer [tmp], both reused for every group.
+   Groups arrive mostly sorted already (tails arrive in time order), so
+   a sorted group costs one pass. *)
+let load_sorted (cons : int array) ~first ~len ~order ~tmp =
+  let sorted = ref true in
+  for k = 0 to len - 1 do
+    order.(k) <- first + k;
+    if k > 0 && cons.(((first + k - 1) lsl 2) + 2) > cons.(((first + k) lsl 2) + 2)
+    then sorted := false
+  done;
+  if not !sorted then begin
+    let src = ref order and dst = ref tmp and width = ref 1 in
+    while !width < len do
+      let lo = ref 0 in
+      while !lo < len do
+        let mid = min (!lo + !width) len in
+        let hi = min (!lo + (2 * !width)) len in
+        merge cons !src !dst !lo mid hi;
+        lo := hi
+      done;
+      let s = !src in
+      src := !dst;
+      dst := s;
+      width := 2 * !width
+    done;
+    if !src != order then Array.blit !src 0 order 0 len
+  end
+
+(* The constraints of location [loc], loaded into [order] sorted by tail
+   offset; returns how many. [cursor.(0)] is the next unread group: the
+   walk asks for every location in ascending order, as the groups are. *)
+let take_group (g : Task_graph.Flat.t) cursor ~loc ~order ~tmp =
+  let k = cursor.(0) in
+  if k < g.n_groups && g.groups.(2 * k) = loc then begin
+    let first = g.groups.((2 * k) + 1) in
+    let stop =
+      if k + 1 < g.n_groups then g.groups.((2 * k) + 3) else g.n_constraints
+    in
+    cursor.(0) <- k + 1;
+    load_sorted g.constraints ~first ~len:(stop - first) ~order ~tmp;
+    stop - first
+  end
+  else 0
+
+let largest_group (g : Task_graph.Flat.t) =
+  let m = ref 0 in
+  for k = 0 to g.n_groups - 1 do
+    let stop =
+      if k + 1 < g.n_groups then g.groups.((2 * k) + 3) else g.n_constraints
+    in
+    m := max !m (stop - g.groups.((2 * k) + 1))
+  done;
+  !m
+
+let simulate_flat ?(config = default_config) (g : Task_graph.Flat.t) =
+  if config.cores < 1 then
+    invalid_arg
+      (Printf.sprintf "Scheduler.simulate: cores must be at least 1, got %d"
+         config.cores);
+  let n = g.n_instances in
+  let cons = g.constraints in
+  let start = Array.make n 0 in
+  let finish = Array.make n 0 in
+  let core_of = Array.make n 0 in
   let free = Array.make config.cores 0 in
   let busy = Array.make config.cores 0 in
+  let st = { first = Array.make (n + 1) 0; off = [||]; cum = [||]; len = 0 } in
+  let width = largest_group g in
+  let order = Array.make width 0 and tmp = Array.make width 0 in
+  let cursor = [| 0 |] in
   let total_stalls = ref 0 in
-  let segs =
-    buckets ~n:(n + 1)
-      ~select:(function Task_graph.CSegment m -> m | _ -> -1)
-      g
-  in
-  let insts =
-    buckets ~n ~select:(function Task_graph.CInstance j -> j | _ -> -1) g
-  in
   let backbone = ref 0 in
   let prev_end = ref 0 in
   for m = 0 to n do
     (* Segment m: backbone between instance m-1's end and instance m's
        start (or program end for m = n). *)
     let seg_start_seq = !prev_end in
-    let seg_end_seq =
-      if m < n then g.instances.(m).Task_graph.start else g.total
-    in
+    let seg_end_seq = if m < n then g.starts.(m) else g.total in
     let seg_stall = ref 0 in
-    for k = segs.first.(m) to segs.first.(m + 1) - 1 do
-      let c = segs.items.(k) in
-      if c.head_instance < m then begin
-        let arrival = !backbone + (c.tail_off - seg_start_seq) + !seg_stall in
-        let required = exec_time profiles.(c.head_instance) c.head_off in
+    let k =
+      take_group g cursor ~loc:(Task_graph.Flat.segment m) ~order ~tmp
+    in
+    for x = 0 to k - 1 do
+      let b = order.(x) lsl 2 in
+      let h = cons.(b) in
+      if h < m then begin
+        let arrival = !backbone + (cons.(b + 2) - seg_start_seq) + !seg_stall in
+        let required = exec_time st start h cons.(b + 1) in
         if required > arrival then seg_stall := !seg_stall + (required - arrival)
       end
     done;
@@ -116,49 +190,62 @@ let simulate ?(config = default_config) (g : Task_graph.t) =
       for c = 1 to config.cores - 1 do
         if free.(c) < free.(!core) then core := c
       done;
-      let st = max !backbone free.(!core) in
-      let dur =
-        g.instances.(m).Task_graph.stop - g.instances.(m).Task_graph.start
-      in
+      let s = max !backbone free.(!core) in
+      let dur = g.stops.(m) - g.starts.(m) in
       (* Internal stalls at this instance's dependence tails. *)
-      let stalls = ref [] in
       let acc = ref 0 in
-      for k = insts.first.(m) to insts.first.(m + 1) - 1 do
-        let c = insts.items.(k) in
-        if c.head_instance < m then begin
-          let arrival = st + c.tail_off + !acc in
-          let required = exec_time profiles.(c.head_instance) c.head_off in
+      let k =
+        take_group g cursor ~loc:(Task_graph.Flat.instance m) ~order ~tmp
+      in
+      for x = 0 to k - 1 do
+        let b = order.(x) lsl 2 in
+        let h = cons.(b) in
+        if h < m then begin
+          let arrival = s + cons.(b + 2) + !acc in
+          let required = exec_time st start h cons.(b + 1) in
           if required > arrival then begin
-            let s = required - arrival in
-            acc := !acc + s;
-            stalls := (c.tail_off, s) :: !stalls
+            acc := !acc + (required - arrival);
+            push_stall st ~off:cons.(b + 2) ~cum:!acc
           end
         end
       done;
+      st.first.(m + 1) <- st.len;
       total_stalls := !total_stalls + !acc;
-      profiles.(m) <- { start = st; stalls = List.rev !stalls };
-      finish.(m) <- st + dur + !acc;
-      cores_of.(m) <- !core;
+      start.(m) <- s;
+      finish.(m) <- s + dur + !acc;
+      core_of.(m) <- !core;
       free.(!core) <- finish.(m) + config.join_overhead;
       busy.(!core) <- busy.(!core) + dur;
-      prev_end := g.instances.(m).Task_graph.stop
+      prev_end := g.stops.(m)
     end
   done;
   (* Join all futures at program exit. *)
-  let par_time = Array.fold_left max !backbone (Array.sub finish 0 n) in
+  let par_time = ref !backbone in
+  for m = 0 to n - 1 do
+    if finish.(m) > !par_time then par_time := finish.(m)
+  done;
+  let par_time = max !par_time 1 in
   {
-    seq_time = g.total;
-    par_time = max par_time 1;
-    speedup = float_of_int g.total /. float_of_int (max par_time 1);
-    tasks = n;
+    Flat.seq_time = g.total;
+    par_time;
+    speedup = float_of_int g.total /. float_of_int par_time;
     stall_time = !total_stalls;
     busy;
+    core = core_of;
+    start;
+    finish;
+  }
+
+let simulate ?config (g : Task_graph.t) =
+  let s = simulate_flat ?config (Task_graph.flatten g) in
+  {
+    seq_time = s.seq_time;
+    par_time = s.par_time;
+    speedup = s.speedup;
+    tasks = Array.length s.start;
+    stall_time = s.stall_time;
+    busy = s.busy;
     placements =
-      Array.init n (fun m ->
-          {
-            task = m;
-            core = cores_of.(m);
-            start = profiles.(m).start;
-            finish = finish.(m);
-          });
+      Array.init (Array.length s.start) (fun m ->
+          { task = m; core = s.core.(m); start = s.start.(m); finish = s.finish.(m) });
   }

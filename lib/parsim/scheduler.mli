@@ -10,7 +10,14 @@
 
     The simulated clock counts bytecode instructions, so
     [speedup = seq_time / par_time] is directly comparable to Table V's
-    wall-clock ratios. *)
+    wall-clock ratios.
+
+    One loop schedules both graph layouts: it walks a
+    {!Task_graph.Flat.t} location by location (segment 0, instance 0,
+    segment 1, ...) with one cursor over the group table, stably sorts
+    each group by tail offset in a reused scratch buffer, and keeps start
+    times, stalls and placements in int arrays. Constraints whose head
+    instance is not earlier than their location constrain nothing. *)
 
 type config = {
   cores : int;  (** worker threads (the paper uses 4) *)
@@ -38,4 +45,27 @@ type schedule = {
   placements : task_schedule array;  (** one per instance, in spawn order *)
 }
 
+(** A schedule with its placements as int arrays, indexed by instance. *)
+module Flat : sig
+  type t = {
+    seq_time : int;
+    par_time : int;
+    speedup : float;
+    stall_time : int;
+    busy : int array;
+    core : int array;
+    start : int array;
+    finish : int array;
+  }
+end
+
+val simulate_flat : ?config:config -> Task_graph.Flat.t -> Flat.t
+(** Schedules a flat graph, allocating arrays sized to the graph and
+    nothing per instance or per constraint.
+    @raise Invalid_argument if [config.cores < 1]. *)
+
 val simulate : ?config:config -> Task_graph.t -> schedule
+(** Schedules a list-view graph: {!Task_graph.flatten} (out-of-range
+    locations are left out), then {!simulate_flat}, with the placements
+    as records.
+    @raise Invalid_argument if [config.cores < 1]. *)

@@ -37,6 +37,10 @@ let race_refusal race (prog : Vm.Program.t) ~head_pc =
 
 let analyze_many ?fuel ?trace_locals ?(cores = 4) ?spawn_overhead
     ?join_overhead ?legality ?race (prog : Vm.Program.t) (requests : request list) =
+  if cores < 1 then
+    invalid_arg
+      (Printf.sprintf "Speedup.analyze_many: cores must be at least 1, got %d"
+         cores);
   let refusals =
     List.map
       (fun (rq : request) -> race_refusal race prog ~head_pc:rq.head_pc)
@@ -72,11 +76,12 @@ let analyze_many ?fuel ?trace_locals ?(cores = 4) ?spawn_overhead
   in
   (* Each graph is scheduled as soon as it is built and dropped after. *)
   let simulated =
-    Task_graph.collect_many ?fuel ?trace_locals prog sites ~f:(fun g ->
-        ( Scheduler.simulate ~config g,
-          List.length g.Task_graph.constraints,
-          g.Task_graph.cross_deps,
-          g.Task_graph.dropped_privatized ))
+    Task_graph.collect_many ?fuel ?trace_locals prog sites
+      ~f:(fun (g : Task_graph.Flat.t) ->
+        ( Scheduler.simulate_flat ~config g,
+          g.n_constraints,
+          g.cross_deps,
+          g.dropped_privatized ))
   in
   List.map2
     (fun ((rq : request), race_refusal)
@@ -89,14 +94,14 @@ let analyze_many ?fuel ?trace_locals ?(cores = 4) ?spawn_overhead
       {
         construct;
         head_pc = rq.head_pc;
-        seq_instructions = s.Scheduler.seq_time;
-        par_instructions = s.Scheduler.par_time;
-        speedup = s.Scheduler.speedup;
-        tasks = s.Scheduler.tasks;
+        seq_instructions = s.Scheduler.Flat.seq_time;
+        par_instructions = s.par_time;
+        speedup = s.speedup;
+        tasks = Array.length s.start;
         constraints;
         cross_deps;
         dropped_privatized;
-        stall_time = s.Scheduler.stall_time;
+        stall_time = s.stall_time;
         race_refusal;
       })
     (List.combine requests refusals)

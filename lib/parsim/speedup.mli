@@ -52,8 +52,10 @@ val analyze_many :
     nothing else. [race] gates every drop on the static race detector:
     when it calls a request's construct racy, no edges are dropped for
     that request and its [race_refusal] carries the diagnostic.
-    @raise Invalid_argument for an unknown global name or a [head_pc]
-    that heads no construct. *)
+    Each graph is scheduled flat ({!Scheduler.simulate_flat}) as soon as
+    it is collected: no constraint or instance record is built.
+    @raise Invalid_argument for an unknown global name, a [head_pc] that
+    heads no construct, or [cores < 1] (checked before the run). *)
 
 val analyze :
   ?fuel:int ->

@@ -36,117 +36,150 @@ let kinds_of_mask =
         (fun k -> m land kind_bit k <> 0)
         Shadow.Dependence.[ Raw; War; Waw ])
 
-(* The fold table of one site: the binding constraint per (head instance,
-   location), keyed by the packed int [head_instance lsl 32 lor loc]
-   where [loc] is [2m] for [CInstance m] and [2m+1] for [CSegment m] (the
-   interval arrays could never hold 2^31 instances). Entries are stored
-   in insertion order in one stride-4 array (key, head_off, tail_off,
-   kinds mask), found through an open-addressing index of entry numbers
-   plus one (0 = empty slot). *)
-type folds = {
-  mutable ent : int array;
-  mutable n : int;
-  mutable index : int array;
-  mutable mask : int;
-}
+module Flat = struct
+  type t = {
+    total : int;
+    n_instances : int;
+    starts : int array;
+    stops : int array;
+    n_constraints : int;
+    constraints : int array;
+    n_groups : int;
+    groups : int array;
+    dropped_privatized : int;
+    cross_deps : int;
+  }
 
-let new_folds () =
-  { ent = Array.make (16 lsl 2) 0; n = 0; index = Array.make 32 0; mask = 31 }
+  let segment m = 2 * m
+  let instance m = (2 * m) + 1
+end
 
-let no_folds = { ent = [||]; n = 0; index = [||]; mask = 0 }
+let location_of_code code =
+  if code land 1 = 0 then CSegment (code lsr 1) else CInstance (code lsr 1)
 
-let[@inline] slot_of key mask =
-  let h = key * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land mask
-
-let grow_index f =
-  let size = 2 * (f.mask + 1) in
-  let index = Array.make size 0 in
-  let mask = size - 1 in
-  for e = 0 to f.n - 1 do
-    let s = ref (slot_of f.ent.(e lsl 2) mask) in
-    while index.(!s) <> 0 do
-      s := (!s + 1) land mask
-    done;
-    index.(!s) <- e + 1
-  done;
-  f.index <- index;
-  f.mask <- mask
-
-(* Top-level rather than local to [fold_into]: without flambda a local
-   recursive function closing over its arguments allocates per call. *)
-let rec probe f ~key ~head_off ~tail_off ~bit s =
-  let e = f.index.(s) in
-  if e = 0 then begin
-    let e = f.n in
-    if (e + 1) lsl 2 > Array.length f.ent then begin
-      let bigger = Array.make (2 * Array.length f.ent) 0 in
-      Array.blit f.ent 0 bigger 0 (e lsl 2);
-      f.ent <- bigger
-    end;
-    let b = e lsl 2 in
-    f.ent.(b) <- key;
-    f.ent.(b + 1) <- head_off;
-    f.ent.(b + 2) <- tail_off;
-    f.ent.(b + 3) <- bit;
-    f.index.(s) <- e + 1;
-    f.n <- e + 1;
-    if 2 * f.n > f.mask then grow_index f
-  end
-  else begin
-    let ent = f.ent in
-    let b = (e - 1) lsl 2 in
-    if ent.(b) <> key then
-      probe f ~key ~head_off ~tail_off ~bit ((s + 1) land f.mask)
-    else begin
-      if head_off - tail_off > ent.(b + 1) - ent.(b + 2) then begin
-        ent.(b + 1) <- head_off;
-        ent.(b + 2) <- tail_off
-      end;
-      ent.(b + 3) <- ent.(b + 3) lor bit
-    end
-  end
-
-let fold_into f ~key ~head_off ~tail_off ~kind =
-  probe f ~key ~head_off ~tail_off ~bit:(kind_bit kind) (slot_of key f.mask)
-
-(* The constraints in the order their keys were first folded. *)
-let constraints_of f =
+let view (g : Flat.t) =
+  let c = g.constraints in
   let acc = ref [] in
-  for e = f.n - 1 downto 0 do
-    let b = e lsl 2 in
-    let key = f.ent.(b) in
-    let loc = key land 0xFFFF_FFFF in
-    acc :=
-      {
-        head_instance = key lsr 32;
-        location =
-          (if loc land 1 = 0 then CInstance (loc lsr 1)
-           else CSegment (loc lsr 1));
-        head_off = f.ent.(b + 1);
-        tail_off = f.ent.(b + 2);
-        kinds = kinds_of_mask.(f.ent.(b + 3));
-      }
-      :: !acc
+  for k = g.n_groups - 1 downto 0 do
+    let location = location_of_code g.groups.(2 * k) in
+    let first = g.groups.((2 * k) + 1) in
+    let stop =
+      if k + 1 < g.n_groups then g.groups.((2 * k) + 3) else g.n_constraints
+    in
+    for e = stop - 1 downto first do
+      let b = e lsl 2 in
+      acc :=
+        {
+          head_instance = c.(b);
+          location;
+          head_off = c.(b + 1);
+          tail_off = c.(b + 2);
+          kinds = kinds_of_mask.(c.(b + 3));
+        }
+        :: !acc
+    done
   done;
-  !acc
+  {
+    total = g.total;
+    instances =
+      Array.init g.n_instances (fun i ->
+          { idx = i; start = g.starts.(i); stop = g.stops.(i) });
+    constraints = !acc;
+    dropped_privatized = g.dropped_privatized;
+    cross_deps = g.cross_deps;
+  }
+
+let flatten (g : t) =
+  let n = Array.length g.instances in
+  let code = function
+    | CSegment m when m >= 0 && m <= n -> Flat.segment m
+    | CInstance j when j >= 0 && j < n -> Flat.instance j
+    | _ -> -1
+  in
+  (* One counting pass by location; list order is kept within each. *)
+  let locations = (2 * n) + 1 in
+  let first = Array.make (locations + 1) 0 in
+  List.iter
+    (fun c ->
+      let k = code c.location in
+      if k >= 0 then first.(k + 1) <- first.(k + 1) + 1)
+    g.constraints;
+  let n_groups = ref 0 in
+  for k = 0 to locations - 1 do
+    if first.(k + 1) > 0 then incr n_groups;
+    first.(k + 1) <- first.(k + 1) + first.(k)
+  done;
+  let constraints = Array.make (4 * first.(locations)) 0 in
+  let groups = Array.make (2 * !n_groups) 0 in
+  let g_at = ref 0 in
+  for k = 0 to locations - 1 do
+    if first.(k + 1) > first.(k) then begin
+      groups.(2 * !g_at) <- k;
+      groups.((2 * !g_at) + 1) <- first.(k);
+      incr g_at
+    end
+  done;
+  List.iter
+    (fun c ->
+      let k = code c.location in
+      if k >= 0 then begin
+        let b = first.(k) lsl 2 in
+        first.(k) <- first.(k) + 1;
+        constraints.(b) <- c.head_instance;
+        constraints.(b + 1) <- c.head_off;
+        constraints.(b + 2) <- c.tail_off;
+        constraints.(b + 3) <-
+          List.fold_left (fun m k -> m lor kind_bit k) 0 c.kinds
+      end)
+    g.constraints;
+  {
+    Flat.total = g.total;
+    n_instances = n;
+    starts = Array.map (fun (i : instance) -> i.start) g.instances;
+    stops = Array.map (fun (i : instance) -> i.stop) g.instances;
+    n_constraints = Array.length constraints / 4;
+    constraints;
+    n_groups = !n_groups;
+    groups;
+    dropped_privatized = g.dropped_privatized;
+    cross_deps = g.cross_deps;
+  }
 
 (* One site's state during the shared run. Instance tracking follows the
    outermost activations of the construct headed at [head_pc]: completed
    intervals in [starts]/[stops] (disjoint, in sequential order), plus the
    open one from [cur_start] while [depth > 0]. The address filters are
    one byte per address up to the highest filtered one: bit 1 set for a
-   reduction range, bit 0 for a privatized one. *)
+   reduction range, bit 0 for a privatized one.
+
+   The fold table is the flat graph's constraint table being filled. A
+   tail lies at the run's current location — the open instance while
+   [depth > 0], else the segment before the next instance — and the
+   location only moves forward, so every location's constraints are one
+   contiguous stretch of [cons], opened at [open_first] when its first
+   constraint arrives. [last.(i)] is the newest constraint of head
+   instance [i] (-1 for none): it belongs to the open location exactly
+   when it lies at or after [open_first], which makes the fold lookup one
+   array read. *)
 type tracker = {
   is_proc : bool;
   filter : Bytes.t;
   mutable starts : int array;
   mutable stops : int array;
+  mutable last : int array;
   mutable n_completed : int;
+  mutable bshift : int;
+  mutable bfirst : int array;
+  mutable n_buckets : int;
   mutable depth : int;
   mutable cur_start : int;
   mutable pending_claim : bool;
-  mutable folds : folds;
+  mutable cons : int array;
+  mutable n_cons : int;
+  mutable groups : int array;
+  mutable n_groups : int;
+  mutable open_loc : int;
+  mutable open_first : int;
   mutable dropped : int;
   mutable cross : int;
 }
@@ -183,11 +216,20 @@ let tracker_of (prog : Vm.Program.t) (s : site) =
     filter = filter_of s;
     starts = [||];
     stops = [||];
+    last = [||];
     n_completed = 0;
+    bshift = 0;
+    bfirst = [||];
+    n_buckets = 0;
     depth = 0;
     cur_start = 0;
     pending_claim = false;
-    folds = new_folds ();
+    cons = [||];
+    n_cons = 0;
+    groups = [||];
+    n_groups = 0;
+    open_loc = -1;
+    open_first = 0;
     dropped = 0;
     cross = 0;
   }
@@ -197,9 +239,90 @@ let[@inline] filter_at tr addr =
     Char.code (Bytes.unsafe_get tr.filter addr)
   else 0
 
-let fold tr ~head_instance ~loc ~head_off ~tail_off ~kind =
+let grow a ~used ~size =
+  let b = Array.make size 0 in
+  Array.blit a 0 b 0 used;
+  b
+
+let open_location tr loc =
+  if loc < tr.open_loc then
+    invalid_arg "Task_graph.collect: a dependence tail went back in time";
+  let k = tr.n_groups in
+  if 2 * (k + 1) > Array.length tr.groups then
+    tr.groups <- grow tr.groups ~used:(2 * k) ~size:(max 32 (4 * k));
+  tr.groups.(2 * k) <- loc;
+  tr.groups.((2 * k) + 1) <- tr.n_cons;
+  tr.n_groups <- k + 1;
+  tr.open_loc <- loc;
+  tr.open_first <- tr.n_cons
+
+(* Folds one dependence into the binding constraint of (head instance
+   [head], location [loc]): the one with maximum [head_off - tail_off]. *)
+let fold tr ~head ~loc ~head_off ~tail_off ~bit =
   tr.cross <- tr.cross + 1;
-  fold_into tr.folds ~key:((head_instance lsl 32) lor loc) ~head_off ~tail_off ~kind
+  if loc <> tr.open_loc then open_location tr loc;
+  let e = tr.last.(head) in
+  if e >= tr.open_first then begin
+    let cons = tr.cons in
+    let b = e lsl 2 in
+    if head_off - tail_off > cons.(b + 1) - cons.(b + 2) then begin
+      cons.(b + 1) <- head_off;
+      cons.(b + 2) <- tail_off
+    end;
+    cons.(b + 3) <- cons.(b + 3) lor bit
+  end
+  else begin
+    let e = tr.n_cons in
+    if (e + 1) lsl 2 > Array.length tr.cons then
+      tr.cons <- grow tr.cons ~used:(e lsl 2) ~size:(max 64 (8 * e));
+    let cons = tr.cons in
+    let b = e lsl 2 in
+    cons.(b) <- head;
+    cons.(b + 1) <- head_off;
+    cons.(b + 2) <- tail_off;
+    cons.(b + 3) <- bit;
+    tr.last.(head) <- e;
+    tr.n_cons <- e + 1
+  end
+
+(* The time-bucket index: bucket [b] covers times [b lsl bshift, (b+1)
+   lsl bshift) and [bfirst.(b)] is the first completed instance that
+   stops after the bucket starts. The buckets are kept at most about
+   twice as many as the instances by doubling their width, and rebuilt
+   at the finest width that budget allows whenever the instance count
+   doubles. *)
+let set_buckets tr i stop =
+  let nb = ((stop - 1) asr tr.bshift) + 1 in
+  if nb > tr.n_buckets then begin
+    if nb > Array.length tr.bfirst then
+      tr.bfirst <- grow tr.bfirst ~used:tr.n_buckets ~size:(max 64 (2 * nb));
+    Array.fill tr.bfirst tr.n_buckets (nb - tr.n_buckets) i;
+    tr.n_buckets <- nb
+  end
+
+let index_instance tr n stop =
+  let budget = (2 * (n + 1)) + 64 in
+  if n >= 64 && n land (n - 1) = 0 then begin
+    tr.bshift <- 0;
+    while ((stop - 1) asr tr.bshift) + 1 > budget do
+      tr.bshift <- tr.bshift + 1
+    done;
+    tr.n_buckets <- 0;
+    for i = 0 to n do
+      set_buckets tr i tr.stops.(i)
+    done
+  end
+  else begin
+    while ((stop - 1) asr tr.bshift) + 1 > budget do
+      let half = (tr.n_buckets + 1) / 2 in
+      for b = 0 to half - 1 do
+        tr.bfirst.(b) <- tr.bfirst.(2 * b)
+      done;
+      tr.n_buckets <- half;
+      tr.bshift <- tr.bshift + 1
+    done;
+    set_buckets tr n stop
+  end
 
 let on_push tr ~tenter =
   if tr.depth = 0 then tr.cur_start <- tenter;
@@ -214,17 +337,15 @@ let on_pop tr ~texit =
     let n = tr.n_completed in
     if n = Array.length tr.starts then begin
       let size = max 64 (2 * n) in
-      let grow a =
-        let b = Array.make size 0 in
-        Array.blit a 0 b 0 n;
-        b
-      in
-      tr.starts <- grow tr.starts;
-      tr.stops <- grow tr.stops
+      tr.starts <- grow tr.starts ~used:n ~size;
+      tr.stops <- grow tr.stops ~used:n ~size;
+      tr.last <- grow tr.last ~used:n ~size
     end;
     tr.starts.(n) <- tr.cur_start;
     tr.stops.(n) <- texit;
+    tr.last.(n) <- -1;
     tr.n_completed <- n + 1;
+    index_instance tr n texit;
     tr.is_proc && not tr.pending_claim
   end
   else false
@@ -233,27 +354,27 @@ let claim tr (prog : Vm.Program.t) ~pc ~now =
   tr.pending_claim <- false;
   if prog.code.(pc) <> Vm.Instr.Pop then begin
     let i = tr.n_completed - 1 in
-    fold tr ~head_instance:i
-      ~loc:((tr.n_completed lsl 1) lor 1)
+    fold tr ~head:i
+      ~loc:(Flat.segment tr.n_completed)
       ~head_off:(tr.stops.(i) - tr.starts.(i))
-      ~tail_off:now ~kind:Shadow.Dependence.Raw
+      ~tail_off:now
+      ~bit:(kind_bit Shadow.Dependence.Raw)
   end
 
 (* The completed instance whose interval holds [th], or -1 (backbone).
-   Most heads lie after the last completed instance or inside it; only
-   the rest pay for the binary search. *)
+   Most heads lie after the last completed instance or inside it; the
+   rest start from their time bucket's first instance still running at
+   the bucket's start, and step past the ones that stop by [th]. *)
 let completed_at tr th =
   let last = tr.n_completed - 1 in
   if last < 0 || th >= tr.stops.(last) || th < tr.starts.(0) then -1
   else if th >= tr.starts.(last) then last
   else begin
-    (* invariant: starts.(lo) <= th < starts.(hi) *)
-    let lo = ref 0 and hi = ref last in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) lsr 1 in
-      if th < tr.starts.(mid) then hi := mid else lo := mid
+    let i = ref tr.bfirst.(th asr tr.bshift) in
+    while tr.stops.(!i) <= th do
+      incr i
     done;
-    if th < tr.stops.(!lo) then !lo else -1
+    if tr.starts.(!i) <= th then !i else -1
   end
 
 (* A dependence constrains the schedule when its head lies in a completed
@@ -272,27 +393,37 @@ let on_dep tr ~kind ~head_time ~tail_time ~addr =
     if i >= 0 then begin
       let head_off = head_time - tr.starts.(i) in
       if tr.depth > 0 && tail_time >= tr.cur_start then
-        fold tr ~head_instance:i ~loc:(tr.n_completed lsl 1) ~head_off
-          ~tail_off:(tail_time - tr.cur_start) ~kind
+        fold tr ~head:i ~loc:(Flat.instance tr.n_completed) ~head_off
+          ~tail_off:(tail_time - tr.cur_start) ~bit:(kind_bit kind)
       else
-        fold tr ~head_instance:i
-          ~loc:((tr.n_completed lsl 1) lor 1)
-          ~head_off ~tail_off:tail_time ~kind
+        fold tr ~head:i
+          ~loc:(Flat.segment tr.n_completed)
+          ~head_off ~tail_off:tail_time ~bit:(kind_bit kind)
     end
   end
 
-let graph_of tr ~total =
-  let constraints = constraints_of tr.folds in
-  tr.folds <- no_folds;
-  {
-    total;
-    instances =
-      Array.init tr.n_completed (fun i ->
-          { idx = i; start = tr.starts.(i); stop = tr.stops.(i) });
-    constraints;
-    dropped_privatized = tr.dropped;
-    cross_deps = tr.cross;
-  }
+(* Hands the tracker's tables over to the graph and lets go of them, so
+   the graph is garbage once the consumer is done with it. *)
+let flat_of tr ~total =
+  let g =
+    {
+      Flat.total;
+      n_instances = tr.n_completed;
+      starts = tr.starts;
+      stops = tr.stops;
+      n_constraints = tr.n_cons;
+      constraints = tr.cons;
+      n_groups = tr.n_groups;
+      groups = tr.groups;
+      dropped_privatized = tr.dropped;
+      cross_deps = tr.cross;
+    }
+  in
+  tr.starts <- [||];
+  tr.stops <- [||];
+  tr.cons <- [||];
+  tr.groups <- [||];
+  g
 
 let collect_many ?(engine = Vm.Machine.Register) ?fuel ?(trace_locals = false)
     (prog : Vm.Program.t) sites ~f =
@@ -411,9 +542,14 @@ let collect_many ?(engine = Vm.Machine.Register) ?fuel ?(trace_locals = false)
     let r = Ir.Engine.run_hooked ~engine ~trace_locals ~clock ?fuel hooks prog in
     Indexing.Rules.finish rules;
     let total = r.Vm.Machine.instructions in
-    (* One site at a time: its fold table is released as its graph is
-       built, and the graph is garbage once [f] returns. *)
-    Array.to_list trackers |> List.map (fun tr -> f (graph_of tr ~total))
+    Array.iter
+      (fun tr ->
+        tr.last <- [||];
+        tr.bfirst <- [||])
+      trackers;
+    (* One site at a time: its tables pass to its graph, which is garbage
+       once [f] returns. *)
+    Array.to_list trackers |> List.map (fun tr -> f (flat_of tr ~total))
   end
 
 let collect ?engine ?fuel ?trace_locals ?(privatized = []) ?(reductions = [])
@@ -421,7 +557,7 @@ let collect ?engine ?fuel ?trace_locals ?(privatized = []) ?(reductions = [])
   match
     collect_many ?engine ?fuel ?trace_locals prog
       [ { head_pc; privatized; reductions } ]
-      ~f:Fun.id
+      ~f:view
   with
   | [ g ] -> g
   | _ -> assert false

@@ -57,10 +57,12 @@ spills=$(dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
 echo "regalloc sanity: 0 spills on gzip"
 
 # Explore goldens: `explore` must print exactly the transcripts saved
-# in test/golden. They were recorded when every simulated candidate
-# still got an instrumented run of its own; one shared collection run
-# now serves all candidates and must not change a byte.
-for spec in par2:64 aes:1024 delaunay:8000; do
+# in test/golden. par2, aes and delaunay were recorded when every
+# simulated candidate still got an instrumented run of its own; bzip2
+# and ogg when task graphs were still collected and scheduled as record
+# lists (bzip2's Loop (compress_block,60) has 377,560 instances). One
+# shared collection run over flat graphs must not change a byte.
+for spec in par2:64 aes:1024 delaunay:8000 bzip2:6000 ogg:800; do
   name=$(echo "$spec" | tr ':' '-')
   dune exec --no-build -- alchemist explore "workload:$spec" \
     > "$tmpdir/explore-$name.txt"
@@ -70,6 +72,25 @@ for spec in par2:64 aes:1024 delaunay:8000; do
   fi
 done
 echo "explore goldens: transcripts byte-identical"
+
+# Bad counts are usage errors: --cores below 1 and a negative --top must
+# be refused while the command line is parsed (cmdliner's exit code
+# 124, with the option named), not fail inside the simulator.
+for args in "explore workload:par2:64 --cores=0" \
+            "explore workload:par2:64 --cores=-2" \
+            "explore workload:par2:64 --top=-1" \
+            "simulate workload:par2:64 --loop-line 86 --cores=0"; do
+  status=0
+  # shellcheck disable=SC2086
+  dune exec --no-build -- alchemist $args > "$tmpdir/bad-count.out" 2>&1 \
+    || status=$?
+  [ "$status" -eq 124 ] || {
+    echo "alchemist $args: exit $status, expected a usage error" >&2
+    exit 1
+  }
+  grep -q "must be at least" "$tmpdir/bad-count.out"
+done
+echo "count options: bad --cores/--top values refused as usage errors"
 
 # Recycling goldens: at Table III scale bzip2 and delaunay overflow the
 # default 1M-node construct pool, so their profiles depend on how
