@@ -670,15 +670,14 @@ let perf () =
     interleaved_best e2e_runs
       [|
         (fun () -> Profiler.run ~fuel prog);
-        (fun () -> Profiler.run ~regalloc:false ~fuel prog);
         (fun () -> Profiler.run ~engine:Vm.Machine.Switch ~fuel prog);
       |]
   in
-  let r, wall = e2e.(0) and r_id, wall_id = e2e.(1) and r_sw, wall_sw = e2e.(2) in
+  let r, wall = e2e.(0) and r_sw, wall_sw = e2e.(1) in
   let events = r.Profiler.stats.Profiler.shadow_events in
   let ns w = w *. 1e9 /. float_of_int events in
   let bytes (r : Profiler.result) = Alchemist.Profile_io.to_string r.profile in
-  let profiles_identical = bytes r = bytes r_sw && bytes r_id = bytes r_sw in
+  let profiles_identical = bytes r = bytes r_sw in
   Printf.printf
     "\nmini-gzip end-to-end profile (best of %d, interleaved, %d shadow \
      events):\n"
@@ -688,10 +687,7 @@ let perf () =
   Printf.printf
     "  register             %.3fs wall  %6.1f ns/event  (%.2fx vs switch)\n"
     wall (ns wall) (wall_sw /. wall);
-  Printf.printf
-    "  register, alloc off  %.3fs wall  %6.1f ns/event  (%.2fx vs switch)\n"
-    wall_id (ns wall_id) (wall_sw /. wall_id);
-  Printf.printf "  profiles byte-identical across engines and ablation: %b\n"
+  Printf.printf "  profiles byte-identical across engines: %b\n"
     profiles_identical;
   let snap = Profiler.telemetry r in
   let count name =
@@ -746,25 +742,20 @@ let perf () =
   Printf.printf "\ndispatch (gzip-1.3.5, %d instructions, best of %d):\n"
     instrs runs;
   List.iter
-    (fun (name, engine, regalloc) ->
+    (fun (name, engine) ->
       let best =
         interleaved_best runs
           [|
-            (fun () -> Ir.Engine.run ~engine ~regalloc ~fuel prog);
+            (fun () -> Ir.Engine.run ~engine ~fuel prog);
             (fun () ->
-              Ir.Engine.run_hooked ~engine ~regalloc ~trace_locals:false ~fuel
-                cheap prog);
+              Ir.Engine.run_hooked ~engine ~trace_locals:false ~fuel cheap prog);
           |]
       in
       Printf.printf "  %-22s %6.2f ns/instr unhooked  %6.2f ns/instr hooked\n"
         name
         (ns_per_instr (snd best.(0)))
         (ns_per_instr (snd best.(1))))
-    [
-      ("switch", Vm.Machine.Switch, true);
-      ("register", Vm.Machine.Register, true);
-      ("register, alloc off", Vm.Machine.Register, false);
-    ];
+    [ ("switch", Vm.Machine.Switch); ("register", Vm.Machine.Register) ];
   (* --- pool churn: scan_len telemetry under a capacity-bound pool -------- *)
   let churn_prog =
     Vm.Compile.compile_source
@@ -928,11 +919,11 @@ let distance_bench () =
         let pruned_full = Static.Depend.pruned_count full in
         let event_pcs = Static.Depend.event_count full in
         (* Proven bounds actually persisted for this workload's profile
-           (the v3 distbound lines `alchemist check` cross-validates). *)
+           (the distbound lines `alchemist check` cross-validates). *)
         let r = Profiler.run ~fuel prog in
         let bounds =
-          match r.Profiler.profile.Profile.static_distbounds with
-          | Some l -> List.length l
+          match r.Profiler.profile.Profile.static with
+          | Some s -> List.length s.Profile.distbounds
           | None -> 0
         in
         Printf.printf "%-14s %9.4fs %9d %12d %12d %7d\n" w.W.name dist_wall

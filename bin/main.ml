@@ -20,15 +20,9 @@ let load_program ?(fold = false) ?(warn = false) spec =
     let ast = if fold then Minic.Fold.program ast else ast in
     Vm.Compile.compile ast
   in
-  match String.split_on_char ':' spec with
-  | [ "workload"; name ] ->
-      let w = Workloads.Registry.find name in
-      compile
-        (w.Workloads.Workload.source ~scale:w.Workloads.Workload.default_scale)
-  | [ "workload"; name; scale ] ->
-      let w = Workloads.Registry.find name in
-      compile (w.Workloads.Workload.source ~scale:(int_of_string scale))
-  | _ -> compile (read_file spec)
+  match Workloads.Registry.of_spec spec with
+  | Some (w, scale) -> compile (w.Workloads.Workload.source ~scale)
+  | None -> compile (read_file spec)
 
 let fold_arg =
   Cmdliner.Arg.(
@@ -51,25 +45,6 @@ let static_prune_arg =
         ~doc:"Skip shadow instrumentation on memory events the static \
               dependence analysis proves unable to affect the profile \
               (default on; the profile is byte-identical either way).")
-
-let legality_arg =
-  Cmdliner.Arg.(
-    value & opt bool true
-    & info [ "legality" ] ~docv:"BOOL"
-        ~doc:"Classify every recorded edge with the transform-legality \
-              engine and store the verdicts in the saved profile \
-              (default on; with $(b,--legality=false) the profile \
-              carries no legality block and serializes as a version-3 \
-              file).")
-
-let race_arg =
-  Cmdliner.Arg.(
-    value & opt bool true
-    & info [ "race" ] ~docv:"BOOL"
-        ~doc:"Run the static race detector over every recorded construct \
-              and store the statuses in the saved profile (default on; \
-              with $(b,--race=false) the profile carries no race block \
-              and serializes as a version-4-or-lower file).")
 
 let handle_errors f =
   match f () with
@@ -120,14 +95,6 @@ let fuel_arg =
     value
     & opt int 2_000_000_000
     & info [ "fuel" ] ~doc:"Instruction budget before trapping.")
-
-let regalloc_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "regalloc" ] ~docv:"BOOL"
-        ~doc:"Run the register engine's graph-coloring allocator (default \
-              on; ignored by $(b,--engine=switch)). The profile is \
-              byte-identical either way.")
 
 let engine_arg =
   Arg.(
@@ -200,12 +167,11 @@ let profile_cmd =
                 $(b,json).")
   in
   let profile spec fuel top edges kinds trace_locals save telemetry fold warn
-      static_prune legality race engine regalloc =
+      static_prune engine =
     handle_errors (fun () ->
         let prog = load_program ~fold ~warn spec in
         let r =
-          Alchemist.Profiler.run ~engine ~regalloc ~fuel ~trace_locals
-            ~static_prune ~legality ~race prog
+          Alchemist.Profiler.run ~engine ~fuel ~trace_locals ~static_prune prog
         in
         Option.iter
           (fun path -> Alchemist.Profile_io.save r.Alchemist.Profiler.profile path)
@@ -249,12 +215,17 @@ let profile_cmd =
     Term.(
       const profile $ src_arg $ fuel_arg $ top $ edges $ kinds $ trace_locals
       $ save $ telemetry $ fold_arg $ warn_arg $ static_prune_arg
-      $ legality_arg $ race_arg $ engine_arg $ regalloc_arg)
+      $ engine_arg)
 
 (* --- rank ---------------------------------------------------------------- *)
 
 let rank_cmd =
-  let top = Arg.(value & opt int 15 & info [ "top" ] ~doc:"Entries to list.") in
+  let top =
+    Arg.(
+      value
+      & opt (int_at_least 0) 15
+      & info [ "top" ] ~doc:"Entries to list.")
+  in
   let rank spec fuel top =
     handle_errors (fun () ->
         let prog = load_program spec in
@@ -697,8 +668,9 @@ let serve_cmd =
            `S Manpage.s_description;
            `P
              "Each request line is $(b,SPEC [fuel=N] \
-              [engine=switch|register] [regalloc=B] [trace_locals=B] \
-              [prune=B] [pool_capacity=N] [scan_limit=N] [save=PATH]) where SPEC is workload:NAME[:SCALE] or a Mini-C \
+              [engine=switch|register] [trace_locals=B] [prune=B] \
+              [pool_capacity=N] [scan_limit=N] [save=PATH]) where SPEC is \
+              workload:NAME[:SCALE], with SCALE a positive integer, or a Mini-C \
               file. A request whose profile-determining inputs (program \
               code, global data, fuel, trace_locals, pool) match a cached \
               run is answered from the cache without profiling — engine \
@@ -782,29 +754,19 @@ let check_cmd =
        transform-legality verdict (each one a dynamic-vs-static
        cross-validation the sanitizer enforced). *)
     let report_validated (p : Alchemist.Profile.t) =
-      (match p.Alchemist.Profile.static_distbounds with
-      | Some ((_ :: _) as l) ->
-          distbound_edges := List.length l;
-          if not quiet then
-            Printf.printf "%s: %d edge(s) validated against static distance \
-                           bounds\n"
-              name (List.length l)
-      | _ -> ());
-      (match p.Alchemist.Profile.static_legality with
-      | Some ((_ :: _) as l) ->
-          legality_edges := List.length l;
-          if not quiet then
-            Printf.printf "%s: %d edge(s) carry transform-legality verdicts\n"
-              name (List.length l)
-      | _ -> ());
-      match p.Alchemist.Profile.static_race with
-      | Some ((_ :: _) as l) ->
-          race_constructs := List.length l;
-          if not quiet then
-            Printf.printf
-              "%s: %d construct(s) carry race-detector statuses\n" name
-              (List.length l)
-      | _ -> ()
+      let count counter n what =
+        counter := n;
+        if n > 0 && not quiet then Printf.printf "%s: %d %s\n" name n what
+      in
+      match p.Alchemist.Profile.static with
+      | None -> ()
+      | Some s ->
+          count distbound_edges (List.length s.distbounds)
+            "edge(s) validated against static distance bounds";
+          count legality_edges (List.length s.legality)
+            "edge(s) carry transform-legality verdicts";
+          count race_constructs (List.length s.race)
+            "construct(s) carry race-detector statuses"
     in
     (match saved with
     | Some p ->
@@ -1077,19 +1039,10 @@ let disasm_cmd =
              on the right, aligned by the instruction-clock segments each \
              IR instruction owns.")
   in
-  let no_regalloc_arg =
-    Arg.(
-      value & flag
-      & info [ "no-regalloc" ]
-          ~doc:
-            "With $(b,--ir): print identity-mapped virtual registers \
-             instead of the colored physical window slots.")
-  in
-  let disasm spec ir no_regalloc =
+  let disasm spec ir =
     handle_errors (fun () ->
         let prog = load_program spec in
-        if ir then
-          print_string (Ir.Disasm.to_string ~regalloc:(not no_regalloc) prog)
+        if ir then print_string (Ir.Disasm.to_string prog)
         else print_string (Vm.Disasm.to_string prog))
   in
   Cmd.v
@@ -1097,7 +1050,7 @@ let disasm_cmd =
        ~doc:
          "Disassemble the compiled bytecode, optionally side by side with \
           the allocated register IR.")
-    Term.(const disasm $ src_arg $ ir_arg $ no_regalloc_arg)
+    Term.(const disasm $ src_arg $ ir_arg)
 
 let workloads_cmd =
   let list () =

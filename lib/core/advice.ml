@@ -84,16 +84,14 @@ let is_reduction_load (prog : Vm.Program.t) pc =
 
 let advise ?dep (p : Profile.t) ~cid =
   let prog = p.prog in
-  (* Same recomputation policy as {!Ranking.rank}: a verdict-carrying
-     profile licenses rebuilding the analysis; a verdict-less one gets
+  (* Same recomputation policy as {!Ranking.rank}: a profile with a
+     static block licenses rebuilding the analysis; one without gets
      dynamic-only advice. *)
   let dep =
-    match dep with
-    | Some _ -> dep
-    | None ->
-        if p.Profile.static_verdicts <> None then
-          Some (Static.Depend.analyze prog)
-        else None
+    match (dep, p.Profile.static) with
+    | Some _, _ -> dep
+    | None, Some _ -> Some (Static.Depend.analyze prog)
+    | None, None -> None
   in
   let cp = Profile.get p cid in
   let construct =
@@ -219,12 +217,9 @@ let advise ?dep (p : Profile.t) ~cid =
       by_var []
     |> List.sort compare
   in
-  (* The static race detector's status for this construct — live
-     analysis first, else the statuses a version-5 profile stored. *)
+  (* The static race detector's status for this construct. *)
   let race_verdict =
-    match dep with
-    | Some d -> Static.Race.status (Static.Depend.race d) ~cid
-    | None -> Option.bind p.Profile.static_race (List.assoc_opt cid)
+    Option.bind dep (fun d -> Static.Race.status (Static.Depend.race d) ~cid)
   in
   let verdict =
     if blockers <> [] then `Not_amenable
@@ -237,17 +232,10 @@ let advise ?dep (p : Profile.t) ~cid =
     else `Parallelizable
   in
   (* Tightest proven iteration distance among the construct's recorded
-     edges — "the overlap window is at least this wide". From the live
-     analysis when available, else from the bounds stored in a v3 file. *)
+     edges — "the overlap window is at least this wide". *)
   let distance_bound_of (k : Profile.edge_key) =
-    match dep with
-    | Some d ->
-        Static.Depend.distance_bound d ~head_pc:k.head_pc ~tail_pc:k.tail_pc
-    | None ->
-        Option.bind p.Profile.static_distbounds (fun l ->
-            List.assoc_opt
-              (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind)
-              l)
+    Option.bind dep (fun d ->
+        Static.Depend.distance_bound d ~head_pc:k.head_pc ~tail_pc:k.tail_pc)
   in
   let static_min_distance =
     List.fold_left
@@ -259,20 +247,14 @@ let advise ?dep (p : Profile.t) ~cid =
       None edges
   in
   (* The exact transform the legality engine proves removes each
-     removable recorded edge — live analysis first, else a version-4
-     profile's stored verdicts. This is the actionable half of the
+     removable recorded edge. This is the actionable half of the
      advice: the listed transforms are {e proven} legal, not
      pattern-guessed like the dynamic [Reduce]/[Privatize] suggestions
      above. *)
   let legality_of (k : Profile.edge_key) =
-    match dep with
-    | Some d ->
+    Option.bind dep (fun d ->
         Static.Legality.classify (Static.Depend.legality d) ~kind:k.kind
-          ~head_pc:k.head_pc ~tail_pc:k.tail_pc
-    | None ->
-        Option.bind p.Profile.static_legality
-          (List.assoc_opt
-             (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind))
+          ~head_pc:k.head_pc ~tail_pc:k.tail_pc)
   in
   let removable =
     List.filter_map

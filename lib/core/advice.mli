@@ -19,8 +19,7 @@ type removable = {
   var : string option;  (** the conflict variable, when nameable *)
 }
 (** One recorded edge a {e proven-legal} transform removes, and which
-    transform ({!Static.Legality.classify} — live analysis, or the
-    verdicts a version-4 profile stored). *)
+    transform ({!Static.Legality.classify}). *)
 
 type suggestion =
   | Spawnable of {
@@ -35,8 +34,8 @@ type suggestion =
           ({!Static.Depend.construct_proven_independent}) from those
           where the profiled execution is the only evidence.
           [static_min_distance] is the tightest proven minimum distance
-          ({!Static.Depend.distance_bound}, or the bounds stored in a
-          version-3 profile) over the construct's recorded edges: every
+          ({!Static.Depend.distance_bound}) over the construct's
+          recorded edges: every
           recorded dependence is at least that many loop iterations
           apart on {e every} input, so the overlap window the dynamic
           [Tdep] suggests is also a static guarantee.
@@ -44,8 +43,7 @@ type suggestion =
           removable recorded edge — unlike the pattern-matched
           [Reduce]/[Privatize] suggestions, these carry a static proof.
           [race_verdict] is the static race detector's status for the
-          construct ({!Static.Race.status} — live analysis, or the
-          statuses a version-5 profile stored; [None] when neither is
+          construct ({!Static.Race.status}; [None] when no analysis is
           available). A [Racy] status demotes the construct verdict
           from [`Parallelizable] to [`Needs_transforms]: the detector
           holds a concrete interference witness the profiled input

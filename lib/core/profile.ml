@@ -136,29 +136,29 @@ type construct_profile = {
   mutable cache_parent_count : int ref;
 }
 
+type static = {
+  verdicts : (Key.t * Static.Depend.verdict) list;
+      (* one global association (verdicts are construct-independent),
+         sorted by packed key *)
+  distbounds : (Key.t * int) list;
+      (* proven minimum dependence distance in loop iterations, by packed
+         key, sorted; only bounds >= 1 are kept *)
+  legality : (Key.t * Static.Legality.verdict) list;
+      (* transform-legality verdicts by packed key, sorted; only edges
+         the legality engine classifies appear (all recorded WAR/WAW,
+         plus RAW edges proven reductions) *)
+  race : (int * Static.Race.Status.t) list;
+      (* race-detector statuses by construct id, sorted; only recorded
+         (instances > 0) loop/proc constructs appear — conditionals
+         have no concurrent units and unexecuted constructs have no
+         profile entry to validate against *)
+}
+
 type t = {
   prog : Vm.Program.t;
   by_cid : construct_profile array;
   mutable total_instructions : int;
-  mutable static_verdicts : (Key.t * Static.Depend.verdict) list option;
-      (* one global association (verdicts are construct-independent),
-         sorted by packed key; [None] = no static layer ran *)
-  mutable static_distbounds : (Key.t * int) list option;
-      (* proven minimum dependence distance in loop iterations, by packed
-         key, sorted; only bounds >= 1 are kept. [None] = no static layer
-         ran; [Some []] = it ran and proved nothing *)
-  mutable static_legality : (Key.t * Static.Legality.verdict) list option;
-      (* transform-legality verdicts by packed key, sorted; only edges
-         the legality engine classifies appear (all recorded WAR/WAW,
-         plus RAW edges proven reductions). [None] = no static layer
-         ran; [Some []] = it ran and classified nothing *)
-  mutable static_race : (int * Static.Race.Status.t) list option;
-      (* race-detector statuses by construct id, sorted; only recorded
-         (instances > 0) loop/proc constructs appear — conditionals
-         have no concurrent units and unexecuted constructs have no
-         profile entry to validate against. [None] = the detector did
-         not run; [Some []] = it ran and no recorded construct was
-         classifiable *)
+  mutable static : static option;  (* [None] = no static layer ran *)
 }
 
 let dummy_stats () =
@@ -187,10 +187,7 @@ let create (prog : Vm.Program.t) =
           })
         prog.constructs;
     total_instructions = 0;
-    static_verdicts = None;
-    static_distbounds = None;
-    static_legality = None;
-    static_race = None;
+    static = None;
   }
 
 let get t cid = t.by_cid.(cid)
@@ -278,26 +275,6 @@ let verdict_rank = function
   | Static.Depend.May_dependent -> 1
   | Static.Depend.Must_dependent -> 2
 
-(* Set union keyed by packed key. Same-key conflicts (possible only if
-   someone merges profiles annotated by different analysis versions)
-   resolve to the lower-ranked verdict deterministically, which keeps
-   the operation associative and commutative like the rest of [merge]. *)
-let merge_verdicts a b =
-  match (a, b) with
-  | None, v | v, None -> v
-  | Some xs, Some ys ->
-      let rec go xs ys acc =
-        match (xs, ys) with
-        | [], rest | rest, [] -> List.rev_append acc rest
-        | ((kx, vx) as x) :: xs', ((ky, vy) as y) :: ys' ->
-            if kx < ky then go xs' ys (x :: acc)
-            else if ky < kx then go xs ys' (y :: acc)
-            else
-              let v = if verdict_rank vx <= verdict_rank vy then vx else vy in
-              go xs' ys' ((kx, v) :: acc)
-      in
-      Some (go xs ys [])
-
 let recorded_keys t =
   Array.fold_left
     (fun acc (cp : construct_profile) ->
@@ -305,118 +282,74 @@ let recorded_keys t =
     [] t.by_cid
   |> List.sort_uniq compare
 
-let attach_verdicts t classify =
-  t.static_verdicts <-
-    Some (List.map (fun k -> (k, classify (Key.unpack k))) (recorded_keys t))
-
-let attach_distbounds t bound =
-  t.static_distbounds <-
+let attach_static t ~verdict ~distbound ~legality ~race =
+  let keys = recorded_keys t in
+  let classified f =
+    List.filter_map
+      (fun k -> Option.map (fun v -> (k, v)) (f (Key.unpack k)))
+      keys
+  in
+  t.static <-
     Some
-      (List.filter_map
-         (fun k ->
-           match bound (Key.unpack k) with
-           | Some d when d >= 1 -> Some (k, d)
-           | _ -> None)
-         (recorded_keys t))
+      {
+        verdicts = List.map (fun k -> (k, verdict (Key.unpack k))) keys;
+        distbounds =
+          classified (fun k ->
+              match distbound k with Some d when d >= 1 -> Some d | _ -> None);
+        legality = classified legality;
+        race =
+          Array.to_list t.by_cid
+          |> List.filter_map (fun (cp : construct_profile) ->
+                 if cp.instances > 0 then
+                   Option.map (fun s -> (cp.cid, s)) (race cp.cid)
+                 else None);
+      }
 
-(* Same-key conflicts take the smaller bound: both sides proved their
-   bound for the same program, so the min is still proven — and min is
-   associative and commutative, preserving [merge]'s laws. *)
-let merge_distbounds a b =
+(* Set union of two key-sorted lists. Same-key conflicts — impossible
+   when both sides analyzed the same program, conceivable for
+   hand-edited files — resolve through [pick], which is associative and
+   commutative for every list, so [merge]'s laws hold. *)
+let merge_sorted pick xs ys =
+  let rec go xs ys acc =
+    match (xs, ys) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | ((kx, vx) as x) :: xs', ((ky, vy) as y) :: ys' ->
+        if kx < ky then go xs' ys (x :: acc)
+        else if ky < kx then go xs ys' (y :: acc)
+        else go xs' ys' ((kx, pick vx vy) :: acc)
+  in
+  go xs ys []
+
+let merge_static a b =
   match (a, b) with
-  | None, v | v, None -> v
-  | Some xs, Some ys ->
-      let rec go xs ys acc =
-        match (xs, ys) with
-        | [], rest | rest, [] -> List.rev_append acc rest
-        | ((kx, dx) as x) :: xs', ((ky, dy) as y) :: ys' ->
-            if kx < ky then go xs' ys (x :: acc)
-            else if ky < kx then go xs ys' (y :: acc)
-            else go xs' ys' ((kx, min dx dy) :: acc)
-      in
-      Some (go xs ys [])
-
-let attach_legality t classify =
-  t.static_legality <-
-    Some
-      (List.filter_map
-         (fun k ->
-           match classify (Key.unpack k) with
-           | Some v -> Some (k, v)
-           | None -> None)
-         (recorded_keys t))
-
-(* Same-key conflicts keep the higher-ranked (weaker) verdict:
-   [Serializing] claims least, so a disagreement — impossible when both
-   sides analyzed the same program, conceivable for hand-edited files —
-   degrades toward safety. Max is associative and commutative, so
-   [merge]'s laws hold. *)
-let merge_legality a b =
-  match (a, b) with
-  | None, v | v, None -> v
-  | Some xs, Some ys ->
-      let rec go xs ys acc =
-        match (xs, ys) with
-        | [], rest | rest, [] -> List.rev_append acc rest
-        | ((kx, vx) as x) :: xs', ((ky, vy) as y) :: ys' ->
-            if kx < ky then go xs' ys (x :: acc)
-            else if ky < kx then go xs ys' (y :: acc)
-            else
-              let v =
-                if
-                  Static.Legality.verdict_rank vx
-                  >= Static.Legality.verdict_rank vy
-                then vx
-                else vy
-              in
-              go xs' ys' ((kx, v) :: acc)
-      in
-      Some (go xs ys [])
-
-let attach_race t status_of =
-  t.static_race <-
-    Some
-      (Array.to_list t.by_cid
-      |> List.filter_map (fun (cp : construct_profile) ->
-             if cp.instances > 0 then
-               Option.map (fun s -> (cp.cid, s)) (status_of cp.cid)
-             else None))
-
-(* Same-construct conflicts keep the higher-ranked status: [Racy]
-   licenses nothing, so a disagreement — impossible when both sides
-   analyzed the same program, conceivable for hand-edited files —
-   degrades toward safety. Max is associative and commutative, so
-   [merge]'s laws hold. *)
-let merge_race a b =
-  match (a, b) with
-  | None, v | v, None -> v
-  | Some xs, Some ys ->
-      let rec go xs ys acc =
-        match (xs, ys) with
-        | [], rest | rest, [] -> List.rev_append acc rest
-        | ((cx, sx) as x) :: xs', ((cy, sy) as y) :: ys' ->
-            if cx < cy then go xs' ys (x :: acc)
-            else if cy < cx then go xs ys' (y :: acc)
-            else
-              let s =
-                if Static.Race.Status.rank sx >= Static.Race.Status.rank sy
-                then sx
-                else sy
-              in
-              go xs' ys' ((cx, s) :: acc)
-      in
-      Some (go xs ys [])
+  | None, s | s, None -> s
+  | Some a, Some b ->
+      let higher rank x y = if rank x >= rank y then x else y in
+      Some
+        {
+          (* the lower-ranked verdict, deterministically *)
+          verdicts =
+            merge_sorted
+              (fun x y -> if verdict_rank x <= verdict_rank y then x else y)
+              a.verdicts b.verdicts;
+          (* both sides proved their bound for the same program, so the
+             smaller one is still proven *)
+          distbounds = merge_sorted Int.min a.distbounds b.distbounds;
+          (* the weaker claim: [Serializing] and [Racy] license nothing,
+             so a disagreement degrades toward safety *)
+          legality =
+            merge_sorted
+              (higher Static.Legality.verdict_rank)
+              a.legality b.legality;
+          race = merge_sorted (higher Static.Race.Status.rank) a.race b.race;
+        }
 
 let merge a b =
   if a.prog.Vm.Program.code <> b.prog.Vm.Program.code then
     invalid_arg "Profile.merge: profiles of different programs";
   let out = create a.prog in
   out.total_instructions <- a.total_instructions + b.total_instructions;
-  out.static_verdicts <- merge_verdicts a.static_verdicts b.static_verdicts;
-  out.static_distbounds <-
-    merge_distbounds a.static_distbounds b.static_distbounds;
-  out.static_legality <- merge_legality a.static_legality b.static_legality;
-  out.static_race <- merge_race a.static_race b.static_race;
+  out.static <- merge_static a.static b.static;
   Array.iteri
     (fun cid (dst : construct_profile) ->
       let add (src : construct_profile) =

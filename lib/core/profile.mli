@@ -19,7 +19,10 @@ type edge_key = { head_pc : int; tail_pc : int; kind : Shadow.Dependence.kind }
 module Key : sig
   type t = int
   (** [(head_pc lsl 31) lor (tail_pc lsl 2) lor kind] — pcs fit easily in
-      29/31 bits for any program this VM can hold. *)
+      29/31 bits for any program this VM can hold. A pc outside
+      [\[0, 2^29)] aliases another key, so pcs from outside the program
+      (a profile file) must be range-checked before packing, as
+      {!Profile_io.read} does. *)
 
   val pack : head_pc:int -> tail_pc:int -> Shadow.Dependence.kind -> t
   val unpack : t -> edge_key
@@ -81,38 +84,41 @@ type construct_profile = {
   mutable cache_parent_count : int ref;  (** counter cell for the memo *)
 }
 
-type t = {
-  prog : Vm.Program.t;
-  by_cid : construct_profile array;
-  mutable total_instructions : int;
-  mutable static_verdicts : (Key.t * Static.Depend.verdict) list option;
+type static = {
+  verdicts : (Key.t * Static.Depend.verdict) list;
       (** static classification of every recorded edge, sorted by packed
           key; one global list — a verdict depends only on the edge, not
-          on which construct it was attributed to. [None] when no static
-          analysis ran (e.g. a [trace_locals] profile, whose event set
-          the verdicts do not model, or a version-1 file). *)
-  mutable static_distbounds : (Key.t * int) list option;
+          on which construct it was attributed to *)
+  distbounds : (Key.t * int) list;
       (** proven minimum dependence distance in loop iterations for
           recorded edges, sorted by packed key; only bounds [>= 1] are
           kept, so absence of a key means "nothing proven". Any dynamic
           instance of the edge must be at least this many retired
           instructions apart ([min_tdep >= d]) — the invariant
-          [alchemist check] enforces. [None] when no static analysis ran
-          (or a version [<= 2] file). *)
-  mutable static_legality : (Key.t * Static.Legality.verdict) list option;
+          [alchemist check] enforces. *)
+  legality : (Key.t * Static.Legality.verdict) list;
       (** transform-legality verdicts for recorded edges, sorted by
           packed key: every WAR/WAW edge classified
           [Privatizable]/[Reduction]/[Serializing], plus RAW edges
           proven reductions (unclassified RAW edges are absent — see
-          {!Static.Legality.classify}). Persisted as the version-4
-          profile section. [None] when no static analysis ran (or a
-          version [<= 3] file). *)
-  mutable static_race : (int * Static.Race.Status.t) list option;
+          {!Static.Legality.classify}) *)
+  race : (int * Static.Race.Status.t) list;
       (** race-detector statuses by construct id, sorted ascending; only
           recorded (instances > 0) constructs the detector classifies
           appear — conditionals spawn no concurrent units, so they are
-          absent. Persisted as the version-5 profile section. [None]
-          when the detector did not run (or a version [<= 4] file). *)
+          absent *)
+}
+(** What the static layer established about a profile's recorded edges
+    and constructs. Each list may be empty. *)
+
+type t = {
+  prog : Vm.Program.t;
+  by_cid : construct_profile array;
+  mutable total_instructions : int;
+  mutable static : static option;
+      (** [Some] exactly when the static layer ran: every default-mode
+          run. [None] for a [trace_locals] profile, whose event set the
+          static facts do not model. *)
 }
 
 val create : Vm.Program.t -> t
@@ -136,39 +142,34 @@ val record_edge :
   unit
 (** Table II lines 8–13: insert the static edge or lower its minimum. *)
 
-val attach_verdicts : t -> (edge_key -> Static.Depend.verdict) -> unit
-(** Classify every currently recorded edge and store the result in
-    [static_verdicts] (sorted by packed key, deduplicated across
-    constructs). *)
-
-val attach_distbounds : t -> (edge_key -> int option) -> unit
-(** Query a proven minimum iteration distance for every currently
-    recorded edge and store the [>= 1] bounds in [static_distbounds]
-    (sorted by packed key). *)
-
-val attach_legality : t -> (edge_key -> Static.Legality.verdict option) -> unit
-(** Classify every currently recorded edge for transform legality and
-    store the classified subset in [static_legality] (sorted by packed
-    key). *)
-
-val attach_race : t -> (int -> Static.Race.Status.t option) -> unit
-(** Query a race status for every recorded ([instances > 0]) construct
-    and store the classified subset in [static_race] (sorted by cid). *)
+val attach_static :
+  t ->
+  verdict:(edge_key -> Static.Depend.verdict) ->
+  distbound:(edge_key -> int option) ->
+  legality:(edge_key -> Static.Legality.verdict option) ->
+  race:(int -> Static.Race.Status.t option) ->
+  unit
+(** Store the static layer's facts about every currently recorded edge
+    and construct in [static]: a verdict per edge (deduplicated across
+    constructs), the [>= 1] distance bounds, the legality-classified
+    edges, and the race status of every recorded ([instances > 0])
+    construct the detector classifies. *)
 
 val merge : t -> t -> t
 (** Combine two profiles of the {e same} program (e.g. different inputs —
     the paper gathers multiple profile runs): instance counts and totals
     add, per-edge minima take the min, edge sets union, per-edge address
     samples take the three smallest of the union (which makes [merge]
-    associative and commutative, see test_parallel). Verdict lists union
-    by key ([None] is the identity); since both sides classify with the
-    same program, same-key verdicts agree — ties nevertheless resolve
-    deterministically so the laws hold unconditionally. Distance-bound
-    lists union by key with same-key conflicts taking the minimum (still
-    proven, still associative/commutative); legality lists union by key
-    with conflicts keeping the weaker claim (max rank — degrades toward
-    [Serializing]); race lists union by cid with conflicts keeping the
-    higher {!Static.Race.Status.rank} (degrades toward [Racy]).
+    associative and commutative, see test_parallel). A [None] static
+    block is the identity; two blocks merge list by list. Verdict lists
+    union by key; since both sides classify with the same program,
+    same-key verdicts agree — ties nevertheless resolve deterministically
+    so the laws hold unconditionally. Distance-bound lists union by key
+    with same-key conflicts taking the minimum (still proven, still
+    associative/commutative); legality lists union by key with conflicts
+    keeping the weaker claim (max rank — degrades toward [Serializing]);
+    race lists union by cid with conflicts keeping the higher
+    {!Static.Race.Status.rank} (degrades toward [Racy]).
     @raise Invalid_argument if the programs differ. *)
 
 val get : t -> int -> construct_profile

@@ -57,112 +57,44 @@ let kind_of_tag = function
    packed key, parents sorted by cid, addresses sorted ascending. Equal
    profiles therefore serialize to identical bytes regardless of hash
    table insertion order — the property the sharded (-j N) driver's
-   byte-identity test rests on.
-
-   Version history: version 2 adds [verdict] lines (the static
-   classification of each recorded edge) between the header block and
-   the construct records. A profile without verdicts serializes to the
-   exact version-1 bytes, so older files and trace_locals profiles are
-   untouched; the reader accepts both versions and rejects verdict
-   lines in a version-1 body. Version 3 adds [distbound] lines (proven
-   minimum iteration distances, always >= 1) after the verdicts; a
-   profile whose static layer proved no bounds serializes to the exact
-   version-2 bytes, so the version only moves when there is something
-   to say, and prune-on/off byte-identity is unaffected. Version 4 adds
-   [legality] lines (transform-legality verdicts: priv/red/serial)
-   after the distbounds, under the same rule — a profile with no
-   legality verdicts serializes to byte-exact version-3 (or lower)
-   output. Version 5 adds [race] lines (per-construct race-detector
-   statuses: race-free/unknown/racy) after the legality verdicts; a
-   profile with no race statuses — the detector off, or nothing
-   recorded it could classify — serializes to byte-exact version-4 (or
-   lower) output. *)
+   byte-identity test rests on. The header is version 5 exactly when
+   the static block is present (all four sections, each possibly
+   empty), and version 1 when it is absent. *)
 let write (t : Profile.t) buf =
-  let distbounds =
-    match t.Profile.static_distbounds with
-    | Some (_ :: _ as l) -> Some l
-    | _ -> None
+  let line fmt = Printf.bprintf buf fmt in
+  line "alchemist-profile %d\n"
+    (match t.Profile.static with Some _ -> 5 | None -> 1);
+  line "fingerprint %s\n" (fingerprint t.prog);
+  line "total %d\n" t.total_instructions;
+  let keyed what value (key, v) =
+    let k = Profile.Key.unpack key in
+    line "%s %d %d %s %s\n" what k.Profile.head_pc k.Profile.tail_pc
+      (kind_tag k.Profile.kind) (value v)
   in
-  let legality =
-    match t.Profile.static_legality with
-    | Some (_ :: _ as l) -> Some l
-    | _ -> None
-  in
-  let race =
-    match t.Profile.static_race with Some (_ :: _ as l) -> Some l | _ -> None
-  in
-  let version =
-    match (race, legality, distbounds, t.Profile.static_verdicts) with
-    | Some _, _, _, _ -> 5
-    | None, Some _, _, _ -> 4
-    | None, None, Some _, _ -> 3
-    | None, None, None, Some _ -> 2
-    | None, None, None, None -> 1
-  in
-  Buffer.add_string buf (Printf.sprintf "alchemist-profile %d\n" version);
-  Buffer.add_string buf (Printf.sprintf "fingerprint %s\n" (fingerprint t.prog));
-  Buffer.add_string buf (Printf.sprintf "total %d\n" t.total_instructions);
-  (match t.Profile.static_verdicts with
-  | None -> ()
-  | Some verdicts ->
+  Option.iter
+    (fun (s : Profile.static) ->
+      List.iter (keyed "verdict" Static.Depend.verdict_to_string) s.verdicts;
+      List.iter (keyed "distbound" string_of_int) s.distbounds;
+      List.iter (keyed "legality" Static.Legality.verdict_to_string) s.legality;
       List.iter
-        (fun (key, v) ->
-          let k = Profile.Key.unpack key in
-          Buffer.add_string buf
-            (Printf.sprintf "verdict %d %d %s %s\n" k.Profile.head_pc
-               k.Profile.tail_pc (kind_tag k.Profile.kind)
-               (Static.Depend.verdict_to_string v)))
-        verdicts);
-  (match distbounds with
-  | None -> ()
-  | Some bounds ->
-      List.iter
-        (fun (key, d) ->
-          let k = Profile.Key.unpack key in
-          Buffer.add_string buf
-            (Printf.sprintf "distbound %d %d %s %d\n" k.Profile.head_pc
-               k.Profile.tail_pc (kind_tag k.Profile.kind) d))
-        bounds);
-  (match legality with
-  | None -> ()
-  | Some verdicts ->
-      List.iter
-        (fun (key, v) ->
-          let k = Profile.Key.unpack key in
-          Buffer.add_string buf
-            (Printf.sprintf "legality %d %d %s %s\n" k.Profile.head_pc
-               k.Profile.tail_pc (kind_tag k.Profile.kind)
-               (Static.Legality.verdict_to_string v)))
-        verdicts);
-  (match race with
-  | None -> ()
-  | Some statuses ->
-      List.iter
-        (fun (cid, s) ->
-          Buffer.add_string buf
-            (Printf.sprintf "race %d %s\n" cid
-               (Static.Race.Status.to_string s)))
-        statuses);
+        (fun (cid, st) -> line "race %d %s\n" cid (Static.Race.Status.to_string st))
+        s.race)
+    t.Profile.static;
   Array.iter
     (fun (cp : Profile.construct_profile) ->
       if cp.instances > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "construct %d %d %d\n" cp.cid cp.ttotal cp.instances);
+        line "construct %d %d %d\n" cp.cid cp.ttotal cp.instances;
       Profile.fold_edges cp (fun k s acc -> (k, s) :: acc) []
       |> List.sort (fun ((a : Profile.edge_key), _) (b, _) -> compare a b)
       |> List.iter (fun ((k : Profile.edge_key), (s : Profile.edge_stats)) ->
-             Buffer.add_string buf
-               (Printf.sprintf "edge %d %d %d %s %d %d %d%s\n" cp.cid k.head_pc
-                  k.tail_pc (kind_tag k.kind) s.min_tdep s.count
-                  (if s.tail_internal then 1 else 0)
-                  (String.concat ""
-                     (List.map (Printf.sprintf " %d")
-                        (List.sort compare s.addrs)))));
+             line "edge %d %d %d %s %d %d %d%s\n" cp.cid k.head_pc k.tail_pc
+               (kind_tag k.kind) s.min_tdep s.count
+               (if s.tail_internal then 1 else 0)
+               (String.concat ""
+                  (List.map (Printf.sprintf " %d") (List.sort compare s.addrs))));
       Hashtbl.fold (fun parent n acc -> (parent, !n) :: acc) cp.parents []
       |> List.sort compare
-      |> List.iter (fun (parent, n) ->
-             Buffer.add_string buf
-               (Printf.sprintf "parent %d %d %d\n" cp.cid parent n)))
+      |> List.iter (fun (parent, n) -> line "parent %d %d %d\n" cp.cid parent n))
     t.by_cid
 
 let to_string t =
@@ -185,15 +117,28 @@ let read (prog : Vm.Program.t) text =
     | Some n -> Ok n
     | None -> err ln "not an integer: %S" s
   in
+  (* Every bounded field goes through here. A pc outside the code would
+     alias another edge in [Profile.Key.pack], and counts, flags and
+     construct ids outside what the writer emits would be silently
+     rewritten, so each is refused with its line number instead. *)
+  let ranged ln what ?(hi = max_int) ~lo s =
+    let* n = int_of ln s in
+    if n >= lo && n <= hi then Ok n
+    else if hi = max_int then err ln "%s %d out of range (must be >= %d)" what n lo
+    else err ln "%s %d out of range [%d, %d]" what n lo hi
+  in
+  let kind_of ln s =
+    Result.map_error (Printf.sprintf "line %d: %s" ln) (kind_of_tag s)
+  in
+  let tag_of ln what of_string s =
+    match of_string s with Some v -> Ok v | None -> err ln "unknown %s %S" what s
+  in
   match lines with
   | (hln, header) :: (fln, fp) :: (tln, total) :: rest ->
-      let* version =
+      let* static =
         match header with
-        | "alchemist-profile 1" -> Ok 1
-        | "alchemist-profile 2" -> Ok 2
-        | "alchemist-profile 3" -> Ok 3
-        | "alchemist-profile 4" -> Ok 4
-        | "alchemist-profile 5" -> Ok 5
+        | "alchemist-profile 1" -> Ok false
+        | "alchemist-profile 5" -> Ok true
         | _ -> err hln "unsupported profile format/version"
       in
       let* () =
@@ -211,39 +156,37 @@ let read (prog : Vm.Program.t) text =
       let t = Profile.create prog in
       t.Profile.total_instructions <- total_instructions;
       let ncid = Array.length t.Profile.by_cid in
-      let check_cid ln cid =
-        if cid >= 0 && cid < ncid then Ok cid
-        else err ln "construct id %d out of range" cid
-      in
-      (* Duplicate construct/edge/parent lines would silently overwrite
-         (or, under merge semantics, double-count) earlier ones — a
-         corrupt or hand-edited file, so reject it loudly. *)
+      let pc ln s = ranged ln "pc" ~lo:0 ~hi:(Array.length prog.code - 1) s in
+      let cid ln s = ranged ln "construct id" ~lo:0 ~hi:(ncid - 1) s in
+      (* Duplicate lines would silently overwrite (or, under merge
+         semantics, double-count) earlier ones — a corrupt or
+         hand-edited file, so reject it loudly. *)
       let seen_construct = Hashtbl.create 64 in
-      (* Verdict lines are collected in reverse and sorted at the end:
-         canonical files are already key-sorted, but a merged/hand-built
-         one is still accepted as long as keys are unique. *)
-      let verdicts = ref [] in
-      let seen_verdict = Hashtbl.create 64 in
-      (* Distbound and legality entries carry their source line so the
-         recorded-edge check below can point at the offending line; the
-         edge section comes after these blocks, so the check must wait
-         until the whole file is parsed. *)
-      let distbounds = ref [] in
-      let seen_distbound = Hashtbl.create 16 in
-      let legality = ref [] in
-      let seen_legality = Hashtbl.create 16 in
-      (* Race entries also carry their source line: they name construct
-         ids, and the construct section that proves a cid was recorded
-         comes after them, so validation waits for [finish]. *)
-      let race = ref [] in
-      let seen_race = Hashtbl.create 16 in
+      (* Static entries keep their source line so the checks in [finish]
+         can point at it, and are sorted there: canonical files are
+         already sorted, but a merged or hand-built one is still
+         accepted as long as keys are unique. *)
+      let section () = (Hashtbl.create 64, ref []) in
+      let verdicts = section () and distbounds = section () in
+      let legality = section () and race = section () in
+      let add (seen, entries) ln key v ~dup =
+        if Hashtbl.mem seen key then dup ()
+        else begin
+          Hashtbl.add seen key ();
+          entries := (ln, key, v) :: !entries;
+          Ok ()
+        end
+      in
+      (* verdict, distbound and legality lines: an edge and one value *)
+      let add_keyed sec what ln head tail kind value =
+        let* head_pc = pc ln head in
+        let* tail_pc = pc ln tail in
+        let* kind = kind_of ln kind in
+        let* v = value in
+        add sec ln (Profile.Key.pack ~head_pc ~tail_pc kind) v ~dup:(fun () ->
+            err ln "duplicate %s %d %d %s" what head_pc tail_pc (kind_tag kind))
+      in
       let finish () =
-        if version >= 2 then
-          t.Profile.static_verdicts <-
-            Some
-              (List.sort
-                 (fun (ka, _) (kb, _) -> Profile.Key.compare ka kb)
-                 !verdicts);
         (* Distbound and legality lines assert facts about specific
            recorded edges; a line naming an edge the profile does not
            record is corruption (or a stale hand edit) that every
@@ -253,15 +196,12 @@ let read (prog : Vm.Program.t) text =
         let recorded = Hashtbl.create 256 in
         Array.iter
           (fun cp ->
-            Profile.fold_edges cp
-              (fun (k : Profile.edge_key) _ () ->
+            Profile.iter_edges cp (fun (k : Profile.edge_key) _ ->
                 Hashtbl.replace recorded
-                  (Profile.Key.pack ~head_pc:k.Profile.head_pc
-                     ~tail_pc:k.Profile.tail_pc k.Profile.kind)
-                  ())
-              ())
+                  (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind)
+                  ()))
           t.Profile.by_cid;
-        let check_recorded what entries =
+        let check_recorded what (_, entries) =
           List.fold_left
             (fun acc (ln, key, _) ->
               let* () = acc in
@@ -270,10 +210,10 @@ let read (prog : Vm.Program.t) text =
                 let k = Profile.Key.unpack key in
                 err ln "%s references unrecorded edge %d %d %s" what
                   k.Profile.head_pc k.Profile.tail_pc (kind_tag k.Profile.kind))
-            (Ok ()) entries
+            (Ok ()) !entries
         in
-        let* () = check_recorded "distbound" !distbounds in
-        let* () = check_recorded "legality" !legality in
+        let* () = check_recorded "distbound" distbounds in
+        let* () = check_recorded "legality" legality in
         (* Race lines likewise assert facts about recorded constructs:
            a status for a construct with no profile entry has nothing
            to validate against and would vanish on rewrite. *)
@@ -283,161 +223,80 @@ let read (prog : Vm.Program.t) text =
               let* () = acc in
               if Hashtbl.mem seen_construct cid then Ok ()
               else err ln "race references unrecorded construct %d" cid)
-            (Ok ()) !race
+            (Ok ()) !(snd race)
         in
-        let strip entries =
+        let sorted (_, entries) =
           List.sort
-            (fun (ka, _) (kb, _) -> Profile.Key.compare ka kb)
-            (List.map (fun (_, k, v) -> (k, v)) entries)
+            (fun (a, _) (b, _) -> compare a b)
+            (List.map (fun (_, k, v) -> (k, v)) !entries)
         in
-        (* A version-3 file with no distbound lines normalizes to "ran,
-           proved nothing" and will round-trip as version 2; likewise a
-           version-4 file with no legality lines round-trips at the
-           highest version its content requires. *)
-        if version >= 3 then
-          t.Profile.static_distbounds <- Some (strip !distbounds);
-        if version >= 4 then t.Profile.static_legality <- Some (strip !legality);
-        if version >= 5 then
-          t.Profile.static_race <-
+        if static then
+          t.Profile.static <-
             Some
-              (List.sort
-                 (fun (ca, _) (cb, _) -> compare ca cb)
-                 (List.map (fun (_, cid, s) -> (cid, s)) !race));
+              {
+                Profile.verdicts = sorted verdicts;
+                distbounds = sorted distbounds;
+                legality = sorted legality;
+                race = sorted race;
+              };
         Ok t
       in
       let rec go = function
         | [] -> finish ()
         | (ln, line) :: rest -> (
             match String.split_on_char ' ' line with
-            | "verdict" :: head :: tail :: kind :: tag :: [] ->
-                if version < 2 then
-                  err ln "verdict line in a version-1 profile"
-                else
-                  let* head_pc = int_of ln head in
-                  let* tail_pc = int_of ln tail in
-                  let* kind =
-                    Result.map_error
-                      (Printf.sprintf "line %d: %s" ln)
-                      (kind_of_tag kind)
-                  in
-                  let* () =
-                    if head_pc >= 0 && tail_pc >= 0 then Ok ()
-                    else err ln "negative pc in verdict line"
-                  in
-                  let* v =
-                    match Static.Depend.verdict_of_string tag with
-                    | Some v -> Ok v
-                    | None -> err ln "unknown static verdict %S" tag
-                  in
-                  let key = Profile.Key.pack ~head_pc ~tail_pc kind in
-                  if Hashtbl.mem seen_verdict key then
-                    err ln "duplicate verdict %d %d %s" head_pc tail_pc
-                      (kind_tag kind)
-                  else begin
-                    Hashtbl.add seen_verdict key ();
-                    verdicts := (key, v) :: !verdicts;
-                    go rest
-                  end
-            | "distbound" :: head :: tail :: kind :: d :: [] ->
-                if version < 3 then
-                  err ln "distbound line in a version-%d profile" version
-                else
-                  let* head_pc = int_of ln head in
-                  let* tail_pc = int_of ln tail in
-                  let* kind =
-                    Result.map_error
-                      (Printf.sprintf "line %d: %s" ln)
-                      (kind_of_tag kind)
-                  in
-                  let* () =
-                    if head_pc >= 0 && tail_pc >= 0 then Ok ()
-                    else err ln "negative pc in distbound line"
-                  in
-                  let* d = int_of ln d in
-                  let* () =
-                    if d >= 1 then Ok ()
-                    else err ln "distance bound must be >= 1, got %d" d
-                  in
-                  let key = Profile.Key.pack ~head_pc ~tail_pc kind in
-                  if Hashtbl.mem seen_distbound key then
-                    err ln "duplicate distbound %d %d %s" head_pc tail_pc
-                      (kind_tag kind)
-                  else begin
-                    Hashtbl.add seen_distbound key ();
-                    distbounds := (ln, key, d) :: !distbounds;
-                    go rest
-                  end
-            | "legality" :: head :: tail :: kind :: tag :: [] ->
-                if version < 4 then
-                  err ln "legality line in a version-%d profile" version
-                else
-                  let* head_pc = int_of ln head in
-                  let* tail_pc = int_of ln tail in
-                  let* kind =
-                    Result.map_error
-                      (Printf.sprintf "line %d: %s" ln)
-                      (kind_of_tag kind)
-                  in
-                  let* () =
-                    if head_pc >= 0 && tail_pc >= 0 then Ok ()
-                    else err ln "negative pc in legality line"
-                  in
-                  let* v =
-                    match Static.Legality.verdict_of_string tag with
-                    | Some v -> Ok v
-                    | None -> err ln "unknown legality verdict %S" tag
-                  in
-                  let key = Profile.Key.pack ~head_pc ~tail_pc kind in
-                  if Hashtbl.mem seen_legality key then
-                    err ln "duplicate legality %d %d %s" head_pc tail_pc
-                      (kind_tag kind)
-                  else begin
-                    Hashtbl.add seen_legality key ();
-                    legality := (ln, key, v) :: !legality;
-                    go rest
-                  end
-            | "race" :: cid :: tag :: [] ->
-                if version < 5 then
-                  err ln "race line in a version-%d profile" version
-                else
-                  let* cid = Result.bind (int_of ln cid) (check_cid ln) in
-                  let* s =
-                    match Static.Race.Status.of_string tag with
-                    | Some s -> Ok s
-                    | None -> err ln "unknown race status %S" tag
-                  in
-                  if Hashtbl.mem seen_race cid then
-                    err ln "duplicate race %d" cid
-                  else begin
-                    Hashtbl.add seen_race cid ();
-                    race := (ln, cid, s) :: !race;
-                    go rest
-                  end
-            | "construct" :: cid :: ttotal :: instances :: [] ->
-                let* cid = Result.bind (int_of ln cid) (check_cid ln) in
+            | (("verdict" | "distbound" | "legality" | "race") as what) :: _
+              when not static ->
+                err ln "%s line in a version-1 profile" what
+            | [ "verdict"; head; tail; kind; tag ] ->
+                let* () =
+                  add_keyed verdicts "verdict" ln head tail kind
+                    (tag_of ln "static verdict" Static.Depend.verdict_of_string
+                       tag)
+                in
+                go rest
+            | [ "distbound"; head; tail; kind; d ] ->
+                let* () =
+                  add_keyed distbounds "distbound" ln head tail kind
+                    (ranged ln "distance bound" ~lo:1 d)
+                in
+                go rest
+            | [ "legality"; head; tail; kind; tag ] ->
+                let* () =
+                  add_keyed legality "legality" ln head tail kind
+                    (tag_of ln "legality verdict"
+                       Static.Legality.verdict_of_string tag)
+                in
+                go rest
+            | [ "race"; c; tag ] ->
+                let* c = cid ln c in
+                let* s = tag_of ln "race status" Static.Race.Status.of_string tag in
+                let* () =
+                  add race ln c s ~dup:(fun () -> err ln "duplicate race %d" c)
+                in
+                go rest
+            | [ "construct"; c; ttotal; instances ] ->
+                let* c = cid ln c in
                 let* ttotal = int_of ln ttotal in
-                let* instances = int_of ln instances in
-                if Hashtbl.mem seen_construct cid then
-                  err ln "duplicate construct %d" cid
+                let* instances = ranged ln "instance count" ~lo:1 instances in
+                if Hashtbl.mem seen_construct c then
+                  err ln "duplicate construct %d" c
                 else begin
-                  Hashtbl.add seen_construct cid ();
-                  let cp = Profile.get t cid in
+                  Hashtbl.add seen_construct c ();
+                  let cp = Profile.get t c in
                   cp.Profile.ttotal <- ttotal;
                   cp.Profile.instances <- instances;
                   go rest
                 end
-            | "edge" :: cid :: head :: tail :: kind :: min_tdep :: count
+            | "edge" :: c :: head :: tail :: kind :: min_tdep :: count
               :: internal :: addrs ->
-                let* cid = Result.bind (int_of ln cid) (check_cid ln) in
-                let* head_pc = int_of ln head in
-                let* tail_pc = int_of ln tail in
-                let* kind =
-                  Result.map_error (Printf.sprintf "line %d: %s" ln)
-                    (kind_of_tag kind)
-                in
+                let* c = cid ln c in
+                let* head_pc = pc ln head in
+                let* tail_pc = pc ln tail in
+                let* kind = kind_of ln kind in
                 let* min_tdep = int_of ln min_tdep in
-                let* count = int_of ln count in
-                let* internal = int_of ln internal in
+                let* count = ranged ln "edge count" ~lo:1 count in
+                let* internal = ranged ln "internal flag" ~lo:0 ~hi:1 internal in
                 let* addrs =
                   List.fold_left
                     (fun acc a ->
@@ -446,10 +305,10 @@ let read (prog : Vm.Program.t) text =
                       Ok (a :: acc))
                     (Ok []) addrs
                 in
-                let cp = Profile.get t cid in
+                let cp = Profile.get t c in
                 let key = Profile.Key.pack ~head_pc ~tail_pc kind in
                 if Profile.Etbl.mem cp.Profile.edges key then
-                  err ln "duplicate edge %d %d %d %s" cid head_pc tail_pc
+                  err ln "duplicate edge %d %d %d %s" c head_pc tail_pc
                     (kind_tag kind)
                 else begin
                   Profile.Etbl.add cp.Profile.edges key
@@ -457,17 +316,19 @@ let read (prog : Vm.Program.t) text =
                       Profile.min_tdep;
                       count;
                       addrs;
-                      tail_internal = internal <> 0;
+                      tail_internal = internal = 1;
                     };
                   go rest
                 end
-            | "parent" :: cid :: parent :: count :: [] ->
-                let* cid = Result.bind (int_of ln cid) (check_cid ln) in
-                let* parent = int_of ln parent in
+            | [ "parent"; c; parent; count ] ->
+                let* c = cid ln c in
+                let* parent =
+                  ranged ln "parent construct id" ~lo:(-1) ~hi:(ncid - 1) parent
+                in
                 let* count = int_of ln count in
-                let parents = (Profile.get t cid).Profile.parents in
+                let parents = (Profile.get t c).Profile.parents in
                 if Hashtbl.mem parents parent then
-                  err ln "duplicate parent %d %d" cid parent
+                  err ln "duplicate parent %d %d" c parent
                 else begin
                   Hashtbl.add parents parent (ref count);
                   go rest

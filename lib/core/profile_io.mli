@@ -6,53 +6,38 @@
     {!Profile.merge} later — the paper's "gathering and analyzing profile
     runs".
 
-    Format (version 1):
+    Format:
     {v
-    alchemist-profile 1
+    alchemist-profile <1|5>
     fingerprint <hex>
     total <instructions>
+    verdict <head_pc> <tail_pc> <RAW|WAR|WAW> <must-indep|may-dep|must-dep>
+    distbound <head_pc> <tail_pc> <RAW|WAR|WAW> <d>
+    legality <head_pc> <tail_pc> <RAW|WAR|WAW> <priv|red|serial>
+    race <cid> <race-free|unknown|racy>
     construct <cid> <ttotal> <instances>
     edge <cid> <head_pc> <tail_pc> <RAW|WAR|WAW> <min_tdep> <count> <internal:0|1> <addr>*
     parent <cid> <parent_cid> <count>
     v}
+    The [verdict], [distbound], [legality] and [race] lines are the
+    static block ({!Profile.static}, each section key-sorted and possibly
+    empty). Header 5 says the block is present — every default-mode
+    profile — and header 1 that it is absent, as in a [trace_locals]
+    profile, whose events the static facts do not model. Distance
+    bounds are always [>= 1].
 
-    Version 2 adds the static classification of each recorded edge
-    ({!Profile.t.static_verdicts}), as key-sorted [verdict] lines between
-    the [total] line and the construct records:
-    {v
-    verdict <head_pc> <tail_pc> <RAW|WAR|WAW> <must-indep|may-dep|must-dep>
-    v}
-    A profile without verdicts (e.g. recorded with [trace_locals], where
-    the static model does not apply) serializes to the exact version-1
-    bytes, so old files and new verdict-free files are the same format.
-
-    Version 3 adds proven minimum iteration distances
-    ({!Profile.t.static_distbounds}) as key-sorted [distbound] lines
-    after the verdicts:
-    {v
-    distbound <head_pc> <tail_pc> <RAW|WAR|WAW> <d>
-    v}
-    with [d >= 1] always. A profile whose static layer proved no bounds
-    serializes to the exact version-2 bytes — the version only moves
-    when a [distbound] line would follow, and a version-3 file with no
-    [distbound] lines normalizes back to version 2 on round-trip.
-
-    Version 4 adds transform-legality verdicts
-    ({!Profile.t.static_legality}) as key-sorted [legality] lines after
-    the distbounds:
-    {v
-    legality <head_pc> <tail_pc> <RAW|WAR|WAW> <priv|red|serial>
-    v}
-    under the same rule: a profile with no legality verdicts serializes
-    to byte-exact version-3 (or lower) output, and a version-4 file with
-    no [legality] lines normalizes down on round-trip.
-
-    The reader accepts all four versions and rejects lines newer than
-    the declared version (e.g. [distbound] in a version-2 body), with
-    1-based line numbers on every error. [distbound] and [legality]
-    lines must reference edges the profile's [edge] section records —
-    a line naming an unrecorded edge is rejected with its line number
-    (stored [verdict] lines are exempt; the sanitizer diagnoses those). *)
+    The reader accepts these two headers only and rejects, with the
+    1-based line number of the offending input line:
+    - a static line in a header-1 file;
+    - a pc outside the program's code, a construct id outside the
+      program, a parent id outside [\[-1, constructs)], an edge count
+      or instance count below 1, and an internal flag other than 0 or
+      1 — fields {!Profile.Key.pack} or the writer could not reproduce;
+    - duplicate lines of any kind;
+    - a [distbound] or [legality] line naming an edge the [edge] lines
+      do not record, and a [race] line naming an unrecorded construct
+      (stored [verdict] lines are exempt; the sanitizer diagnoses
+      those). *)
 
 val fingerprint : Vm.Program.t -> string
 (** A stable hash of the code array (hex). *)
@@ -72,11 +57,11 @@ val write : Profile.t -> Buffer.t -> unit
 val to_string : Profile.t -> string
 
 val read : Vm.Program.t -> string -> (Profile.t, string) result
-(** Parses a serialized profile against [prog]; fails on version or
-    fingerprint mismatch, malformed or truncated input, and duplicate
-    construct/edge/parent lines (which would otherwise silently overwrite
-    earlier data). Error messages carry the 1-based input line number,
-    e.g. ["line 7: duplicate construct 3"]. *)
+(** Parses a serialized profile against [prog]; fails on a header other
+    than 1 or 5, fingerprint mismatch, and malformed, out-of-range,
+    duplicate or truncated input (see above). Every error but
+    ["truncated profile"] starts with the 1-based input line number,
+    e.g. ["line 7: duplicate construct 3"]; no input raises. *)
 
 val save : Profile.t -> string -> unit
 (** Write to a file. *)

@@ -55,13 +55,14 @@ let facts_dep f = f.f_dep
 (* Build the instrumentation (hooks + a finisher that assembles the
    result); shared between the live run and offline trace replay.
    [static] enables the static dependence layer: the finisher then
-   classifies every recorded edge into the profile's verdict list, and
-   the returned oracle lets the caller prune hooks. It is on for every
-   default-mode profile — including trace replay, whose traces record
-   the default event set — and off only under [trace_locals], whose
-   extra local events the verdicts do not model. *)
+   attaches the profile's whole static block (verdicts, distance
+   bounds, legality verdicts and race statuses), and the returned
+   oracle lets the caller prune hooks. It is on for every default-mode
+   profile — including trace replay, whose traces record the default
+   event set — and off only under [trace_locals], whose extra local
+   events the static facts do not model. *)
 let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
-    ?(legality = true) ?(race = true) (prog : Vm.Program.t) =
+    (prog : Vm.Program.t) =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
   let wall = Obs.Registry.timer reg "profiler.wall" in
   Obs.Timer.start wall;
@@ -200,23 +201,20 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
   let finish (run : Vm.Machine.result) =
     Indexing.Rules.finish rules;
     profile.Profile.total_instructions <- run.Vm.Machine.instructions;
-    (match dep with
-    | Some d ->
-        Profile.attach_verdicts profile (fun (k : Profile.edge_key) ->
-            Static.Depend.verdict d ~kind:k.Profile.kind
-              ~head_pc:k.Profile.head_pc ~tail_pc:k.Profile.tail_pc);
-        Profile.attach_distbounds profile (fun (k : Profile.edge_key) ->
-            Static.Depend.distance_bound d ~head_pc:k.Profile.head_pc
-              ~tail_pc:k.Profile.tail_pc);
-        if legality then
-          Profile.attach_legality profile (fun (k : Profile.edge_key) ->
-              Static.Legality.classify (Static.Depend.legality d)
-                ~kind:k.Profile.kind ~head_pc:k.Profile.head_pc
-                ~tail_pc:k.Profile.tail_pc);
-        if race then
-          Profile.attach_race profile (fun cid ->
-              Static.Race.status (Static.Depend.race d) ~cid)
-    | None -> ());
+    Option.iter
+      (fun d ->
+        Profile.attach_static profile
+          ~verdict:(fun (k : Profile.edge_key) ->
+            Static.Depend.verdict d ~kind:k.kind ~head_pc:k.head_pc
+              ~tail_pc:k.tail_pc)
+          ~distbound:(fun k ->
+            Static.Depend.distance_bound d ~head_pc:k.head_pc
+              ~tail_pc:k.tail_pc)
+          ~legality:(fun k ->
+            Static.Legality.classify (Static.Depend.legality d) ~kind:k.kind
+              ~head_pc:k.head_pc ~tail_pc:k.tail_pc)
+          ~race:(fun cid -> Static.Race.status (Static.Depend.race d) ~cid))
+      dep;
     Obs.Timer.stop wall;
     (* Republish the VM's own counters (counted allocation-free inside
        the interpreter loop) so one snapshot covers every layer. *)
@@ -258,13 +256,13 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
   in
   (hooks, clock, finish, dep)
 
-let run ?(engine = Vm.Machine.Register) ?regalloc ?fuel ?scan_limit
-    ?pool_capacity ?obs ?facts ?(trace_locals = false) ?(static_prune = true)
-    ?legality ?race (prog : Vm.Program.t) =
+let run ?(engine = Vm.Machine.Register) ?fuel ?scan_limit ?pool_capacity ?obs
+    ?facts ?(trace_locals = false) ?(static_prune = true) (prog : Vm.Program.t)
+    =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
   let hooks, clock, finish, dep =
     make ?scan_limit ?pool_capacity ~obs:reg ?facts ~static:(not trace_locals)
-      ?legality ?race prog
+      prog
   in
   (* The verdict layer runs (and is stored) whether or not pruning is
      applied — so prune-on and prune-off profiles of the same execution
@@ -292,8 +290,8 @@ let run ?(engine = Vm.Machine.Register) ?regalloc ?fuel ?scan_limit
   in
   let r =
     finish
-      (Ir.Engine.run_hooked ~engine ?regalloc ~clock ~trace_locals ?prune
-         ?fuel ~obs:reg hooks prog)
+      (Ir.Engine.run_hooked ~engine ~clock ~trace_locals ?prune ?fuel ~obs:reg
+         hooks prog)
   in
   (* Record which engine produced the events, so benchmark telemetry is
      self-describing (0 = switch, 2 = register; published codes never
@@ -320,7 +318,6 @@ let run_trace ?scan_limit ?pool_capacity ?obs (trace : Vm.Trace.t)
   finish (Vm.Trace.result trace)
 
 let run_source ?engine ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
-    ?static_prune ?legality ?race src =
-  run ?engine ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals
-    ?static_prune ?legality ?race
+    ?static_prune src =
+  run ?engine ?fuel ?scan_limit ?pool_capacity ?obs ?trace_locals ?static_prune
     (Vm.Compile.compile_source src)

@@ -68,7 +68,6 @@ val facts_dep : facts -> Static.Depend.t
 
 val run :
   ?engine:Vm.Machine.engine ->
-  ?regalloc:bool ->
   ?fuel:int ->
   ?scan_limit:int ->
   ?pool_capacity:int ->
@@ -76,8 +75,6 @@ val run :
   ?facts:facts ->
   ?trace_locals:bool ->
   ?static_prune:bool ->
-  ?legality:bool ->
-  ?race:bool ->
   Vm.Program.t ->
   result
 (** Profiles one execution.
@@ -92,10 +89,6 @@ val run :
     telemetry are byte-identical to the default's (differentially
     tested). The engine used is recorded in telemetry as the
     [vm.engine] gauge (0 = switch, 2 = register).
-    [regalloc] (default [true]) only affects the register engine: when
-    [false] the register IR runs on the identity vreg mapping instead of
-    the colored window — the ablation the bench measures; observable
-    results are unchanged either way.
     [facts] supplies precomputed static facts ({!prepare_facts}) so the
     run skips the CFA and dependence analyses — the profile is
     byte-identical with or without it; passing facts prepared for a
@@ -111,26 +104,17 @@ val run :
     what keeps sharded domains contention-free.
 
     Unless [trace_locals] is set, every run additionally computes the
-    static dependence analysis ({!Static.Depend}) and stores a verdict
-    per recorded edge in [profile.static_verdicts] (serialized as
-    version-2 profile files). [static_prune] (default [true])
-    additionally applies the analysis' prune mask, skipping the shadow
-    hooks of event pcs proven unable to affect the profile — the
-    resulting profile is byte-identical either way (enforced by
-    [alchemist check] and test_static); only the hook-call cost and the
-    [shadow.*] telemetry volume change.
-    [legality] (default [true]) controls whether the transform-legality
-    classification ({!Static.Legality}) is stored per recorded edge in
-    [profile.static_legality]; with [false] the profile carries no
-    legality block and serializes as a version-3 file whose bytes are
-    exactly the version-4 output minus its [legality] lines (the CI
-    gate enforces this).
-    [race] (default [true]) controls whether the static race detector
-    ({!Static.Race}) stores a status per recorded construct in
-    [profile.static_race]; with [false] the profile carries no race
-    block and serializes as a version-4-or-lower file whose bytes are
-    exactly the version-5 output minus its [race] lines (the CI gate
-    enforces this too).
+    static dependence analysis ({!Static.Depend}) and stores the whole
+    static block in [profile.static]: a verdict per recorded edge, the
+    proven distance bounds, the transform-legality verdicts
+    ({!Static.Legality}) and the race detector's statuses
+    ({!Static.Race}), serialized as a version-5 profile file. Under
+    [trace_locals] [profile.static] is [None] and the file is version 1.
+    [static_prune] (default [true]) additionally applies the analysis'
+    prune mask, skipping the shadow hooks of event pcs proven unable to
+    affect the profile — the resulting profile is byte-identical either
+    way (enforced by [alchemist check] and test_static); only the
+    hook-call cost and the [shadow.*] telemetry volume change.
     @raise Vm.Machine.Trap as {!Vm.Machine.run}. *)
 
 val run_trace :
@@ -152,8 +136,6 @@ val run_source :
   ?obs:Obs.Registry.t ->
   ?trace_locals:bool ->
   ?static_prune:bool ->
-  ?legality:bool ->
-  ?race:bool ->
   string ->
   result
 (** Convenience: compile a Mini-C source and profile it. *)

@@ -18,50 +18,36 @@ type entry = {
 let entry_of (t : Profile.t) dep (c : Vm.Program.construct_info) =
   let p = Profile.get t c.cid in
   (* Does at least one of this construct's recorded edges carry a proven
-     minimum iteration distance? Live analysis when available, else the
-     bounds a version-3 profile stored. *)
+     minimum iteration distance? *)
   let dist_bounded =
-    List.exists
-      (fun ((k : Profile.edge_key), _) ->
-        match dep with
-        | Some d ->
+    match dep with
+    | Some d ->
+        List.exists
+          (fun ((k : Profile.edge_key), _) ->
             Static.Depend.distance_bound d ~head_pc:k.head_pc
               ~tail_pc:k.tail_pc
-            <> None
-        | None ->
-            Option.fold ~none:false
-              ~some:
-                (List.mem_assoc
-                   (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc
-                      k.kind))
-              t.Profile.static_distbounds)
-      (Profile.edges_sorted p)
+            <> None)
+          (Profile.edges_sorted p)
+    | None -> false
   in
   (* Partition the construct's recorded edges by transform legality:
      proven removable by privatization, by reduction rewrite, or
      blocking (everything else — serializing edges and unclassified RAW
-     dataflow). Live analysis when available, else a version-4
-     profile's stored verdicts. *)
-  let legality_of (k : Profile.edge_key) =
-    match dep with
-    | Some d ->
-        Static.Legality.classify (Static.Depend.legality d) ~kind:k.kind
-          ~head_pc:k.head_pc ~tail_pc:k.tail_pc
-    | None ->
-        Option.bind t.Profile.static_legality
-          (List.assoc_opt
-             (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind))
-  in
-  let legality_known = dep <> None || t.Profile.static_legality <> None in
+     dataflow). *)
   let priv_edges = ref 0 and red_edges = ref 0 and blocking_edges = ref 0 in
-  if legality_known then
-    List.iter
-      (fun (k, _) ->
-        match legality_of k with
-        | Some Static.Legality.Privatizable -> incr priv_edges
-        | Some Static.Legality.Reduction -> incr red_edges
-        | Some Static.Legality.Serializing | None -> incr blocking_edges)
-      (Profile.edges_sorted p);
+  Option.iter
+    (fun d ->
+      List.iter
+        (fun ((k : Profile.edge_key), _) ->
+          match
+            Static.Legality.classify (Static.Depend.legality d) ~kind:k.kind
+              ~head_pc:k.head_pc ~tail_pc:k.tail_pc
+          with
+          | Some Static.Legality.Privatizable -> incr priv_edges
+          | Some Static.Legality.Reduction -> incr red_edges
+          | Some Static.Legality.Serializing | None -> incr blocking_edges)
+        (Profile.edges_sorted p))
+    dep;
   {
     cid = c.cid;
     name = Format.asprintf "%a" Vm.Program.pp_construct c;
@@ -75,31 +61,26 @@ let entry_of (t : Profile.t) dep (c : Vm.Program.construct_info) =
       | Some d -> Static.Depend.construct_proven_independent d ~cid:c.cid
       | None -> false);
     dist_bounded;
-    legality_known;
+    legality_known = dep <> None;
     priv_edges = !priv_edges;
     red_edges = !red_edges;
     blocking_edges = !blocking_edges;
     race_status =
-      (* Live detector when available, else a version-5 profile's
-         stored statuses. *)
-      (match dep with
-      | Some d -> Static.Race.status (Static.Depend.race d) ~cid:c.cid
-      | None -> Option.bind t.Profile.static_race (List.assoc_opt c.cid));
+      Option.bind dep (fun d ->
+          Static.Race.status (Static.Depend.race d) ~cid:c.cid);
   }
 
 let rank ?dep ?(min_instructions = 1) (t : Profile.t) =
-  (* A profile that carries verdicts came from a run with the static
-     layer on; recompute the analysis (cheap, deterministic) unless the
-     caller shares one. A verdict-less profile (trace_locals, old v1
-     file) ranks without the static column rather than claiming
-     independence the run never established. *)
+  (* A profile that carries a static block came from a run with the
+     static layer on; recompute the analysis (cheap, deterministic)
+     unless the caller shares one. A profile without one (trace_locals)
+     ranks without the static columns rather than claiming facts the
+     run never established. *)
   let dep =
-    match dep with
-    | Some _ -> dep
-    | None ->
-        if t.Profile.static_verdicts <> None then
-          Some (Static.Depend.analyze t.prog)
-        else None
+    match (dep, t.Profile.static) with
+    | Some _, _ -> dep
+    | None, Some _ -> Some (Static.Depend.analyze t.prog)
+    | None, None -> None
   in
   Array.to_list t.prog.constructs
   |> List.map (entry_of t dep)

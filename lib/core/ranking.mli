@@ -20,14 +20,13 @@ type entry = {
           not just the profiled one ({!Static.Depend.construct_proven_independent}) *)
   dist_bounded : bool;
       (** at least one recorded edge of the construct carries a proven
-          minimum iteration distance ({!Static.Depend.distance_bound},
-          or a bound stored in a version-3 profile) — the dependence is
-          real but provably far apart, the paper's "distance at least
-          [d]" evidence for pipelined or strip-mined parallelism *)
+          minimum iteration distance ({!Static.Depend.distance_bound}) —
+          the dependence is real but provably far apart, the paper's
+          "distance at least [d]" evidence for pipelined or strip-mined
+          parallelism *)
   legality_known : bool;
-      (** the edge partition below is meaningful: a live analysis was
-          available, or the profile stored version-4 legality verdicts
-          (otherwise all three counts are 0) *)
+      (** the edge partition below is meaningful: an analysis was
+          available (otherwise all three counts are 0) *)
   priv_edges : int;
       (** recorded edges proven removable by privatizing their cell
           ({!Static.Legality.Privatizable}) *)
@@ -40,8 +39,7 @@ type entry = {
           stands between this construct and a parallel schedule *)
   race_status : Static.Race.Status.t option;
       (** the static race detector's status for the construct
-          ({!Static.Race.status} — live analysis, or a version-5
-          profile's stored statuses; [None] for conditionals or when no
+          ({!Static.Race.status}; [None] for conditionals or when no
           static facts are available). Rendered as the [\[race-free\]] /
           [\[racy\]] tag by {!pp_entry}. *)
 }
@@ -49,10 +47,10 @@ type entry = {
 val rank : ?dep:Static.Depend.t -> ?min_instructions:int -> Profile.t -> entry list
 (** All executed constructs, descending by [ttotal].
     [min_instructions] (default 1) drops never-executed or trivial
-    constructs. [dep] shares an existing analysis for the
-    [static_indep] column; omitted, it is recomputed when the profile
-    carries static verdicts, and the column is all-[false] when it does
-    not (the run never established any static facts). *)
+    constructs. [dep] shares an existing analysis for the static
+    columns; omitted, it is recomputed when the profile carries a static
+    block, and the columns stay empty when it does not (the run never
+    established any static facts). *)
 
 val remove_with_singletons : Profile.t -> entry list -> cid:int -> entry list
 (** Fig. 6(b)'s operation: once construct [C] is chosen for

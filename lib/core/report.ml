@@ -15,68 +15,46 @@ let conflict_names (t : Profile.t) (s : Profile.edge_stats) =
   in
   match names with [] -> "" | l -> "  on " ^ String.concat ", " l
 
-(* The static-verdict column. A profile produced with the static layer
-   on (any default-mode run) stores one verdict per edge; render it so a
-   reader can tell [must-dep] edges (real, provable) from [may-dep] ones
-   (where only the dynamic distance is evidence). [Must_independent]
-   never appears on a recorded edge — the sanitizer fails first. *)
-let verdict_of_key (t : Profile.t) =
-  match t.Profile.static_verdicts with
+(* One column of the static block as a per-edge lookup ([None]
+   everywhere when the profile has no static block). *)
+let edge_lookup (t : Profile.t) column =
+  match t.Profile.static with
   | None -> fun _ -> None
-  | Some l ->
-      let tbl = Hashtbl.create (List.length l) in
-      List.iter (fun (key, v) -> Hashtbl.replace tbl key v) l;
-      fun (k : Profile.edge_key) ->
-        Hashtbl.find_opt tbl
-          (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind)
-
-(* The proven-distance column (version-3 profiles): a [dist>=d] tag
-   next to an edge says its endpoints are at least [d] loop iterations
-   apart on every input — so the observed [Tdep] is not an accident of
-   this run's data. *)
-let distbound_of_key (t : Profile.t) =
-  match t.Profile.static_distbounds with
-  | None -> fun _ -> None
-  | Some l ->
-      let tbl = Hashtbl.create (max 1 (List.length l)) in
-      List.iter (fun (key, d) -> Hashtbl.replace tbl key d) l;
-      fun (k : Profile.edge_key) ->
-        Hashtbl.find_opt tbl
-          (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind)
-
-(* The transform-legality column (version-4 profiles): [priv] marks an
-   edge a privatization removes, [red] one a reduction rewrite removes,
-   [serial] one that genuinely orders iterations — the reader's answer
-   to "so what do I do about this edge?". *)
-let legality_of_key (t : Profile.t) =
-  match t.Profile.static_legality with
-  | None -> fun _ -> None
-  | Some l ->
+  | Some s ->
+      let l = column s in
       let tbl = Hashtbl.create (max 1 (List.length l)) in
       List.iter (fun (key, v) -> Hashtbl.replace tbl key v) l;
       fun (k : Profile.edge_key) ->
         Hashtbl.find_opt tbl
           (Profile.Key.pack ~head_pc:k.head_pc ~tail_pc:k.tail_pc k.kind)
 
-(* The race-status tag for a construct header (version-5 profiles):
-   [race-free] says the detector proved every may-happen-in-parallel
-   access pair of a spawned execution non-conflicting, [racy] that it
-   holds a concrete witness pair, [race-unknown] that an unbounded
-   access kept it from deciding. *)
-let race_tag_of_status = function
+(* The race-status tag for a construct header: [race-free] says the
+   detector proved every may-happen-in-parallel access pair of a spawned
+   execution non-conflicting, [racy] that it holds a concrete witness
+   pair, [race-unknown] that an unbounded access kept it from
+   deciding. *)
+let race_tag (t : Profile.t) cid =
+  match
+    Option.bind t.Profile.static (fun s -> List.assoc_opt cid s.Profile.race)
+  with
   | Some Static.Race.Status.Race_free -> "  [race-free]"
   | Some Static.Race.Status.Racy -> "  [racy]"
   | Some Static.Race.Status.Unknown -> "  [race-unknown]"
   | None -> ""
 
-let race_tag (t : Profile.t) cid =
-  race_tag_of_status
-    (Option.bind t.Profile.static_race (List.assoc_opt cid))
-
 let render_edges buf (t : Profile.t) p ~max_edges ~kinds =
-  let verdict_of = verdict_of_key t in
-  let distbound_of = distbound_of_key t in
-  let legality_of = legality_of_key t in
+  (* The static-verdict column tells [must-dep] edges (real, provable)
+     from [may-dep] ones (where only the dynamic distance is evidence);
+     [Must_independent] never appears on a recorded edge — the
+     sanitizer fails first. A [dist>=d] tag says the edge's endpoints
+     are at least [d] loop iterations apart on every input, so the
+     observed [Tdep] is not an accident of this run's data. The
+     legality column answers "so what do I do about this edge?": [priv]
+     marks an edge a privatization removes, [red] one a reduction
+     rewrite removes, [serial] one that genuinely orders iterations. *)
+  let verdict_of = edge_lookup t (fun s -> s.Profile.verdicts) in
+  let distbound_of = edge_lookup t (fun s -> s.Profile.distbounds) in
+  let legality_of = edge_lookup t (fun s -> s.Profile.legality) in
   let edges =
     Profile.edges_sorted p
     |> List.filter (fun ((k : Profile.edge_key), _) -> List.mem k.kind kinds)
@@ -121,22 +99,16 @@ let render ?(top = 10) ?(max_edges = 8) ?(kinds = [ Shadow.Dependence.Raw ])
     (t : Profile.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "Profile\n";
-  (* Of the ranking's columns, render prints only the race tag. A
-     version-5 profile stores the race statuses, so it is ranked as a
-     verdict-less profile is — without running the static analysis. A
-     profile with verdicts but no race block (versions 2-4) takes its
-     tags from a fresh analysis, as it always has. *)
-  let entries =
-    match (t.Profile.static_race, t.Profile.static_verdicts) with
-    | None, Some _ -> Ranking.rank ~dep:(Static.Depend.analyze t.prog) t
-    | _ -> Ranking.rank { t with Profile.static_verdicts = None }
-  in
+  (* Of the ranking's columns, render prints only the race tag, and the
+     profile stores those: rank without the static block, which runs no
+     analysis, and take each tag from the stored statuses. *)
+  let entries = Ranking.rank { t with Profile.static = None } in
   List.iteri
     (fun i (e : Ranking.entry) ->
       if i < top then begin
         Buffer.add_string buf
           (Printf.sprintf "%d. %s Tdur=%d, inst=%d%s\n" (i + 1) e.name e.ttotal
-             e.instances (race_tag_of_status e.Ranking.race_status));
+             e.instances (race_tag t e.cid));
         render_edges buf t (Profile.get t e.cid) ~max_edges ~kinds
       end)
     entries;

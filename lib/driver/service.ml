@@ -81,9 +81,8 @@ let facts_for t prog code_fp =
 
 (* --- submission ----------------------------------------------------------- *)
 
-let submit t ?fuel ?engine ?regalloc
-    ?(trace_locals = false) ?static_prune ?pool_capacity ?scan_limit ?save
-    ~spec prog =
+let submit t ?fuel ?engine ?(trace_locals = false) ?static_prune
+    ?pool_capacity ?scan_limit ?save ~spec prog =
   t.seq <- t.seq + 1;
   let seq = t.seq in
   Obs.Counter.incr t.requests_c;
@@ -105,8 +104,8 @@ let submit t ?fuel ?engine ?regalloc
       let promise =
         Scheduler.submit t.sched (fun () ->
             let r =
-              Alchemist.Profiler.run ?engine ?regalloc ?fuel ?facts
-                ~trace_locals ?static_prune ?pool_capacity ?scan_limit prog
+              Alchemist.Profiler.run ?engine ?fuel ?facts ~trace_locals
+                ?static_prune ?pool_capacity ?scan_limit prog
             in
             Alchemist.Profile_io.to_string r.Alchemist.Profiler.profile)
       in
@@ -115,11 +114,12 @@ let submit t ?fuel ?engine ?regalloc
 (* --- request lines -------------------------------------------------------- *)
 
 (* Grammar (one request per line):
-     <spec> [fuel=N] [engine=switch|register] [regalloc=B] [trace_locals=B]
-            [prune=B] [pool_capacity=N] [scan_limit=N] [save=PATH]
-   where <spec> is workload:NAME[:SCALE] or a Mini-C file path, and B is
-   0/1/true/false. Blank lines and #-comments are skipped; the bare word
-   "drain" is a control line handled by the caller. *)
+     <spec> [fuel=N] [engine=switch|register] [trace_locals=B] [prune=B]
+            [pool_capacity=N] [scan_limit=N] [save=PATH]
+   where <spec> is workload:NAME[:SCALE] (SCALE a positive integer) or a
+   Mini-C file path, and B is 0/1/true/false. Blank lines and #-comments
+   are skipped; the bare word "drain" is a control line handled by the
+   caller. *)
 
 exception Bad_request of string
 
@@ -134,14 +134,9 @@ let parse_int k v =
   | None -> raise (Bad_request (Printf.sprintf "%s: bad integer %S" k v))
 
 let compile_spec spec =
-  match String.split_on_char ':' spec with
-  | [ "workload"; name ] ->
-      let w = Workloads.Registry.find name in
-      Workloads.Workload.compile w ~scale:w.Workloads.Workload.default_scale
-  | [ "workload"; name; scale ] ->
-      let w = Workloads.Registry.find name in
-      Workloads.Workload.compile w ~scale:(parse_int "scale" scale)
-  | _ ->
+  match Workloads.Registry.of_spec spec with
+  | Some (w, scale) -> Workloads.Workload.compile w ~scale
+  | None ->
       let ic = open_in_bin spec in
       let src =
         Fun.protect
@@ -163,7 +158,6 @@ let feed t line =
     match
       let fuel = ref None
       and engine = ref None
-      and regalloc = ref None
       and trace_locals = ref false
       and static_prune = ref None
       and pool_capacity = ref None
@@ -184,7 +178,6 @@ let feed t line =
                   | None ->
                       raise
                         (Bad_request (Printf.sprintf "engine: unknown %S" v)))
-              | "regalloc" -> regalloc := Some (parse_bool k v)
               | "trace_locals" -> trace_locals := parse_bool k v
               | "prune" -> static_prune := Some (parse_bool k v)
               | "pool_capacity" -> pool_capacity := Some (parse_int k v)
@@ -193,18 +186,18 @@ let feed t line =
               | _ -> raise (Bad_request (Printf.sprintf "unknown option %S" k))))
         opts;
       let prog = compile_spec spec in
-      (prog, !fuel, !engine, !regalloc, !trace_locals, !static_prune,
-       !pool_capacity, !scan_limit, !save)
+      (prog, !fuel, !engine, !trace_locals, !static_prune, !pool_capacity,
+       !scan_limit, !save)
     with
-    | prog, fuel, engine, regalloc, trace_locals, static_prune, pool_capacity,
-      scan_limit, save ->
-        submit t ?fuel ?engine ?regalloc ~trace_locals ?static_prune
-          ?pool_capacity ?scan_limit ?save ~spec prog;
+    | prog, fuel, engine, trace_locals, static_prune, pool_capacity, scan_limit,
+      save ->
+        submit t ?fuel ?engine ~trace_locals ?static_prune ?pool_capacity
+          ?scan_limit ?save ~spec prog;
         `Queued
     | exception e ->
         let msg =
           match e with
-          | Bad_request m -> m
+          | Bad_request m | Invalid_argument m -> m
           | Not_found -> "unknown workload (try: alchemist workloads)"
           | Minic.Diag.Error (m, loc) ->
               Printf.sprintf "at %s: %s" (Minic.Srcloc.to_string loc) m

@@ -14,11 +14,11 @@
 
     Request lines ({!feed}):
     {v
-    <spec> [fuel=N] [engine=switch|register] [regalloc=B]
-           [trace_locals=B] [prune=B] [pool_capacity=N] [scan_limit=N]
-           [save=PATH]
+    <spec> [fuel=N] [engine=switch|register] [trace_locals=B] [prune=B]
+           [pool_capacity=N] [scan_limit=N] [save=PATH]
     v}
-    with [<spec>] a [workload:NAME[:SCALE]] or a Mini-C file path and
+    with [<spec>] a [workload:NAME[:SCALE]] ([SCALE] a positive integer,
+    parsed by {!Workloads.Registry.of_spec}) or a Mini-C file path and
     [B] one of [0/1/true/false]. Blank lines and [#] comments are
     skipped; the bare word [drain] is a control line returned to the
     caller. Malformed requests become in-order [error] replies, never
@@ -51,7 +51,6 @@ val submit :
   t ->
   ?fuel:int ->
   ?engine:Vm.Machine.engine ->
-  ?regalloc:bool ->
   ?trace_locals:bool ->
   ?static_prune:bool ->
   ?pool_capacity:int ->
@@ -61,8 +60,8 @@ val submit :
   Vm.Program.t ->
   unit
 (** Structured submission of an already-compiled program ([spec] is
-    only a label for the reply). Engine, regalloc and prune select how a
-    miss is computed (defaults as in {!Alchemist.Profiler.run}) but are
+    only a label for the reply). Engine and prune select how a miss is
+    computed (defaults as in {!Alchemist.Profiler.run}) but are
     not part of the cache key — profile bytes are proven independent of
     them. *)
 

@@ -8,7 +8,7 @@
 
 let left_width = 46
 
-let to_string ?(regalloc = true) (prog : Vm.Program.t) =
+let to_string (prog : Vm.Program.t) =
   match Lower.lower ~hooked:true ~pruned:(fun _ -> false) prog with
   | None ->
       ";; register lowering unavailable for this program (engine falls \
@@ -56,7 +56,7 @@ let to_string ?(regalloc = true) (prog : Vm.Program.t) =
       Array.iteri
         (fun fid (fi : Lower.func_ir) ->
           let f = fi.Lower.ff in
-          let alloc = Regalloc.allocate ~identity:(not regalloc) lw fi in
+          let alloc = Regalloc.allocate lw fi in
           emit_range
             (Printf.sprintf "function %s (fid %d)" f.Vm.Program.name fid)
             ~header:

@@ -41,21 +41,18 @@ type clock = Ring.clock = {
 
 val run :
   ?engine:Vm.Machine.engine ->
-  ?regalloc:bool ->
   ?fuel:int ->
   ?max_depth:int ->
   Vm.Program.t ->
   Vm.Machine.result
-(** Runs without hooks. [regalloc] (default [true]) set to [false] runs
-    the register IR on identity-mapped windows, the ablation the bench
-    measures; [fuel] and [max_depth] are as in {!Vm.Machine.run}.
+(** Runs without hooks. [fuel] and [max_depth] are as in
+    {!Vm.Machine.run}.
     @raise Vm.Machine.Trap on runtime errors. *)
 
 val run_hooked :
   ?engine:Vm.Machine.engine ->
   ?trace_locals:bool ->
   ?prune:bool array ->
-  ?regalloc:bool ->
   ?clock:clock ->
   ?obs:Obs.Registry.t ->
   ?fuel:int ->

@@ -116,7 +116,7 @@ let binfn (op : Minic.Ast.binop) : int -> int -> int =
   | Ne -> fun a b -> if a <> b then 1 else 0
   | Div | Mod | Shl | Shr | LogAnd | LogOr -> assert false
 
-let run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs
+let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
     (hooks : Vm.Hooks.t) ?fuel ?max_depth (lw : Lower.t) =
   let prog = lw.prog in
   let st = VS.create ?max_depth prog in
@@ -171,9 +171,7 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs
     | Some c -> c.Ring.range_has_target
     | None -> fun ~lo:_ ~hi:_ -> true
   in
-  let allocs =
-    Array.map (fun fi -> Regalloc.allocate ~identity:(not regalloc) lw fi) lw.funcs
-  in
+  let allocs = Array.map (Regalloc.allocate lw) lw.funcs in
   let pre_alloc = Regalloc.identity 1 in
   let wt = needs_tags lw in
   (match obs with
@@ -780,8 +778,8 @@ let run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs
    runs that trace scalar locals (the -O0 model of the ablation bench),
    whose per-local events the IR does not model, and programs whose
    lowering bails — nonstandard bytecode the compiler never emits. *)
-let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true) ?clock ?obs
-    (hooks : Vm.Hooks.t) ?fuel ?max_depth (prog : Vm.Program.t) =
+let exec ~hooked ?(trace_locals = true) ?prune ?clock ?obs (hooks : Vm.Hooks.t)
+    ?fuel ?max_depth (prog : Vm.Program.t) =
   let reference () =
     Vm.Machine.exec ~engine:Vm.Machine.Switch ~hooked ~trace_locals ?prune hooks
       ?fuel ?max_depth prog
@@ -796,5 +794,5 @@ let exec ~hooked ?(trace_locals = true) ?prune ?(regalloc = true) ?clock ?obs
     match Lower.lower ~hooked ~pruned prog with
     | None -> reference ()
     | Some lw ->
-        run_ir ~hooked ~trace_locals ?prune ~regalloc ?clock ?obs hooks ?fuel
-          ?max_depth lw
+        run_ir ~hooked ~trace_locals ?prune ?clock ?obs hooks ?fuel ?max_depth
+          lw

@@ -23,9 +23,9 @@ type alloc = {
 let identity nvregs =
   { map = Array.init nvregs (fun i -> i); win_size = max nvregs 1; spills = 0 }
 
-let allocate ~identity:id (lw : Lower.t) (fi : Lower.func_ir) =
+let allocate (lw : Lower.t) (fi : Lower.func_ir) =
   let n = fi.nvregs in
-  if id || n = 0 then identity n
+  if n = 0 then identity n
   else begin
     let lv = Liveness.analyze lw fi in
     let adj = Bytes.make (n * n) '\000' in

@@ -29,8 +29,8 @@
 type verdict = Must_independent | May_dependent | Must_dependent
 
 val verdict_to_string : verdict -> string
-(** ["must-indep"], ["may-dep"], ["must-dep"] — the tags stored in
-    version-2 profile files. *)
+(** ["must-indep"], ["may-dep"], ["must-dep"] — the tags of a profile
+    file's [verdict] lines. *)
 
 val verdict_of_string : string -> verdict option
 
@@ -130,7 +130,7 @@ val distance_bound : t -> head_pc:int -> tail_pc:int -> int option
     implies at least [d] retired instructions apart, any recorded edge
     between the pcs must satisfy [min_tdep >= d] — the invariant the
     sanitizer and [alchemist check] enforce, and the bound persisted in
-    version-3 profiles. *)
+    a profile file's [distbound] lines. *)
 
 val distance_verdict :
   t -> head_pc:int -> tail_pc:int -> Distance.verdict * string

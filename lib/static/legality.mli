@@ -23,7 +23,7 @@
     ({!classify} returns [None] otherwise): a RAW edge that is not a
     reduction is simply a dataflow fact, not a transform opportunity.
 
-    Verdicts persist as the version-4 profile section and feed the
+    Verdicts persist as a profile file's [legality] lines and feed the
     report tags, [Advice.Spawnable]'s removable-edge list, the
     sanitizer's dynamic cross-check, and parsim's legality-aware
     speedup simulation. *)
@@ -31,8 +31,8 @@
 type verdict = Privatizable | Reduction | Serializing
 
 val verdict_to_string : verdict -> string
-(** ["priv"], ["red"], ["serial"] — the tags stored in version-4
-    profile files. *)
+(** ["priv"], ["red"], ["serial"] — the tags of a profile file's
+    [legality] lines. *)
 
 val verdict_of_string : string -> verdict option
 

@@ -12,7 +12,7 @@
     and {!Unknown} may be conservative; precision is benched, soundness
     is regressed (test_race's qcheck differential).
 
-    Statuses persist as the version-5 profile block and feed
+    Statuses persist as a profile file's [race] lines and feed
     [alchemist verify], advice demotion, the sanitizer cross-check,
     report/ranking tags, and parsim's refusal diagnostic. *)
 
@@ -22,7 +22,7 @@ module Status : sig
   type t = Race_free | Unknown | Racy
 
   val to_string : t -> string
-  (** ["race-free"], ["unknown"], ["racy"] — the version-5 file tags. *)
+  (** ["race-free"], ["unknown"], ["racy"] — the [race] line tags. *)
 
   val of_string : string -> t option
 

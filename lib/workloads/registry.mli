@@ -8,3 +8,11 @@ val find : string -> Workload.t
 (** Look up by Table III name. @raise Not_found for unknown names. *)
 
 val names : string list
+
+val of_spec : string -> (Workload.t * int) option
+(** Parses a source spec as the CLI and [alchemist serve] take it:
+    [workload:NAME] names a workload at its default scale and
+    [workload:NAME:SCALE] at [SCALE]; anything else is a Mini-C file
+    path ([None]).
+    @raise Not_found for an unknown [NAME].
+    @raise Invalid_argument when [SCALE] is not a positive integer. *)

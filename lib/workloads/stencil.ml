@@ -8,7 +8,7 @@
    actually occur. This kernel is the opposite: its update loops read
    the field at fixed lags (4, 5 and 6 iterations back) with affine
    unit-stride subscripts, so strong SIV proves an exact carried
-   distance for every tap — persisted as version-3 [distbound] lines —
+   distance for every tap — persisted as [distbound] lines —
    and the disjoint-bands pass over [scratch] gives the range test a
    same-array access pair only distance promotion can prune. *)
 

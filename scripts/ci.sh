@@ -33,19 +33,6 @@ if ! cmp "$tmpdir/register.prof" "$tmpdir/switch.prof"; then
 fi
 echo "engine differential: profiles byte-identical"
 
-# Register allocation is a pure renaming: the register engine must save
-# the same bytes without the graph-coloring allocator (regalloc only
-# reshuffles slots — any observable difference means a canonicalization
-# move went missing).
-dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
-  --engine=register --regalloc=false \
-  --save "$tmpdir/register-noalloc.prof" > /dev/null
-if ! cmp "$tmpdir/register.prof" "$tmpdir/register-noalloc.prof"; then
-  echo "regalloc changed the register engine's profile" >&2
-  exit 1
-fi
-echo "regalloc differential: profiles byte-identical"
-
 # Regalloc sanity: on gzip the coloring must fit the 16-slot window —
 # a nonzero spill count here means the allocator regressed (the
 # workloads' functions never keep more than 16 values live).
@@ -79,6 +66,7 @@ echo "explore goldens: transcripts byte-identical"
 for args in "explore workload:par2:64 --cores=0" \
             "explore workload:par2:64 --cores=-2" \
             "explore workload:par2:64 --top=-1" \
+            "rank workload:par2:64 --top=-1" \
             "simulate workload:par2:64 --loop-line 86 --cores=0"; do
   status=0
   # shellcheck disable=SC2086
@@ -91,6 +79,21 @@ for args in "explore workload:par2:64 --cores=0" \
   grep -q "must be at least" "$tmpdir/bad-count.out"
 done
 echo "count options: bad --cores/--top values refused as usage errors"
+
+# Bad workload scales: a SCALE that is not a positive integer must be
+# refused with a diagnostic naming it (exit 1), not crash (exit 125) or
+# profile a nonsense input.
+for scale in abc -4 0; do
+  status=0
+  dune exec --no-build -- alchemist explore "workload:par2:$scale" \
+    > "$tmpdir/bad-scale.out" 2>&1 || status=$?
+  [ "$status" -eq 1 ] || {
+    echo "workload:par2:$scale: exit $status, expected 1" >&2
+    exit 1
+  }
+  grep -q "bad scale \"$scale\"" "$tmpdir/bad-scale.out"
+done
+echo "workload scales: bad values refused with a diagnostic"
 
 # Recycling goldens: at Table III scale bzip2 and delaunay overflow the
 # default 1M-node construct pool, so their profiles depend on how
@@ -142,7 +145,7 @@ echo "seeded corruption: distance checker fired as required"
 
 # Transform-legality gate. Three properties, end to end through the CLI:
 #
-# 1. Every registry workload persists version-4 legality verdicts and the
+# 1. Every registry workload persists legality verdicts and the
 #    sanitizer's cross-validation passes — asserted on the machine-readable
 #    `check --json` document, not on prose.
 dune exec --no-build -- alchemist check --all --test-scale --json \
@@ -152,12 +155,12 @@ if grep -q '"validated_legality_edges": 0[,}]' "$tmpdir/check.json"; then
   echo "a workload carries no legality verdicts" >&2
   exit 1
 fi
-echo "legality gate: every workload persists validated v4 verdicts"
+echo "legality gate: every workload persists validated legality verdicts"
 
 # 2. Seeded failure: retag one of gzip's serializing legality lines as
 #    privatizable; the sanitizer must refuse the profile (this proves the
 #    legality cross-check can actually fire, not just that clean profiles
-#    pass). The register.prof saved above is gzip's version-4 profile.
+#    pass). The register.prof saved above is gzip's default profile.
 grep -q "^legality .* serial$" "$tmpdir/register.prof"
 awk '!seeded && $1 == "legality" && $5 == "serial" { $5 = "priv"; seeded = 1 }
      { print }' "$tmpdir/register.prof" > "$tmpdir/gzip-bad.prof"
@@ -170,27 +173,13 @@ fi
 grep -q "disagrees with analysis" "$tmpdir/legality-seeded.out"
 echo "seeded corruption: legality checker fired as required"
 
-# 3. Backward compatibility of the writer: a profile with no legality
-#    block must serialize as byte-exact version-3 output — i.e. the
-#    version-4 file differs from the version-3 file by exactly its
-#    legality lines and the header digit. par2.prof saved above is the
-#    version-4 profile with both distbound and legality blocks.
-dune exec --no-build -- alchemist profile workload:par2:24 \
-  --legality=false --race=false --save "$tmpdir/par2-v3.prof" > /dev/null
-head -1 "$tmpdir/par2-v3.prof" | grep -q "^alchemist-profile 3$"
-awk '$1 == "alchemist-profile" { $2 = 3 }
-     $1 == "legality" || $1 == "race" { next } { print }' \
-  "$tmpdir/par2.prof" > "$tmpdir/par2-stripped.prof"
-cmp "$tmpdir/par2-stripped.prof" "$tmpdir/par2-v3.prof"
-echo "legality-free writer: byte-exact version-3 output"
-
 # Static race gate. Three properties, end to end through the CLI:
 #
 # 1. `verify --json` over every registry workload must produce a
 #    structurally sound document, and at least one racy construct must
 #    exist across the registry — a detector that finds no interference
 #    anywhere has silently stopped looking. Every workload must also
-#    persist version-5 race statuses the sanitizer cross-validates
+#    persist race statuses the sanitizer cross-validates
 #    (asserted on the `check --json` document produced above).
 dune exec --no-build -- alchemist verify --all --test-scale --json \
   > "$tmpdir/verify.json"
@@ -205,12 +194,12 @@ if grep -q '"validated_race_constructs": 0[,}]' "$tmpdir/check.json"; then
   echo "a workload carries no validated race statuses" >&2
   exit 1
 fi
-echo "race gate: verify --json sound, every workload persists v5 statuses"
+echo "race gate: verify --json sound, every workload persists race statuses"
 
 # 2. Seeded failure: flip one of gzip's racy statuses to race-free in
 #    the saved profile; the sanitizer must refuse it — a forged
 #    race-free tag is exactly the corruption that would green-light an
-#    unsafe spawn. The register.prof saved above is gzip's version-5
+#    unsafe spawn. The register.prof saved above is gzip's default
 #    profile.
 grep -q "^race .* racy$" "$tmpdir/register.prof"
 awk '!seeded && $1 == "race" && $3 == "racy" { $3 = "race-free"; seeded = 1 }
@@ -224,16 +213,22 @@ fi
 grep -q "disagrees with analysis" "$tmpdir/race-seeded.out"
 echo "seeded corruption: race checker fired as required"
 
-# 3. Backward compatibility of the writer: a profile with no race block
-#    must serialize as byte-exact version-4 output — the version-5 file
-#    differs from it by exactly its race lines and the header digit.
-dune exec --no-build -- alchemist profile workload:par2:24 \
-  --race=false --save "$tmpdir/par2-v4.prof" > /dev/null
-head -1 "$tmpdir/par2-v4.prof" | grep -q "^alchemist-profile 4$"
-awk '$1 == "alchemist-profile" { $2 = 4 } $1 == "race" { next } { print }' \
-  "$tmpdir/par2.prof" > "$tmpdir/par2-race-stripped.prof"
-cmp "$tmpdir/par2-race-stripped.prof" "$tmpdir/par2-v4.prof"
-echo "race-free writer: byte-exact version-4 output"
+# One profile format: a default save carries the static block under
+# header 5, a --trace-locals save none under header 1, and `report`
+# loads both. The retired headers 2-4 are refused on line 1.
+head -1 "$tmpdir/par2.prof" | grep -q "^alchemist-profile 5$"
+dune exec --no-build -- alchemist profile workload:par2:24 --trace-locals \
+  --save "$tmpdir/par2-locals.prof" > /dev/null
+head -1 "$tmpdir/par2-locals.prof" | grep -q "^alchemist-profile 1$"
+dune exec --no-build -- alchemist report workload:par2:24 \
+  --profile "$tmpdir/par2-locals.prof" > /dev/null
+sed '1s/.*/alchemist-profile 3/' "$tmpdir/par2.prof" > "$tmpdir/par2-v3.prof"
+status=0
+dune exec --no-build -- alchemist report workload:par2:24 \
+  --profile "$tmpdir/par2-v3.prof" > "$tmpdir/v3.out" 2>&1 || status=$?
+[ "$status" -eq 1 ] || { echo "header 3: exit $status, expected 1" >&2; exit 1; }
+grep -q "line 1:" "$tmpdir/v3.out"
+echo "profile format: header 5 and 1 load, header 3 refused on line 1"
 
 # Pruning differential through the CLI: instrumentation pruning must not
 # change a single byte of the saved profile.

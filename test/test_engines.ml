@@ -44,10 +44,7 @@ let test_registry_unhooked () =
       let prog = compile_workload w in
       let sw = Ir.Engine.run ~engine:Switch ~fuel prog in
       let r = Ir.Engine.run ~fuel prog in
-      check_same_result (w.name ^ " register") sw r;
-      (* regalloc-off ablation: identity-mapped windows, same semantics *)
-      let id = Ir.Engine.run ~engine:Register ~regalloc:false ~fuel prog in
-      check_same_result (w.name ^ " register/regalloc=off") sw id)
+      check_same_result (w.name ^ " register") sw r)
     Workloads.Registry.all
 
 (* The register backend must actually compile every registry workload —
@@ -78,7 +75,7 @@ let test_register_lowering_coverage () =
    logs. This is stronger than comparing profiles: it pins the ordering
    and the original pcs that register tick segments and the ring's
    batched delivery are required to preserve. *)
-let event_log ?(fuel = fuel) ?regalloc ~engine ~trace_locals prog =
+let event_log ?(fuel = fuel) ~engine ~trace_locals prog =
   let buf = Buffer.create 65536 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let hooks =
@@ -100,7 +97,7 @@ let event_log ?(fuel = fuel) ?regalloc ~engine ~trace_locals prog =
       on_frame_release = (fun ~base ~size -> p "f %d %d\n" base size);
     }
   in
-  let r = Ir.Engine.run_hooked ~engine ?regalloc ~trace_locals ~fuel hooks prog in
+  let r = Ir.Engine.run_hooked ~engine ~trace_locals ~fuel hooks prog in
   p "exit %d %d\n" r.exit_value r.instructions;
   Buffer.contents buf
 
@@ -109,8 +106,8 @@ let or_trap f =
   | log -> log
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
-let event_log_or_trap ?fuel ?regalloc ~engine ~trace_locals prog =
-  or_trap (fun () -> event_log ?fuel ?regalloc ~engine ~trace_locals prog)
+let event_log_or_trap ?fuel ~engine ~trace_locals prog =
+  or_trap (fun () -> event_log ?fuel ~engine ~trace_locals prog)
 
 (* The thinned stream of the Ir.Engine.clock contract. The consumer keeps
    its own clock and cares about [on_instr] only at "interesting" pcs
@@ -340,11 +337,8 @@ let test_trace_locals_profile () =
 
 (* --- fuel and traps ----------------------------------------------------- *)
 
-let run_outcome ~engine ?regalloc ?(trace_locals = false) ~fuel prog =
-  match
-    Ir.Engine.run_hooked ~engine ?regalloc ~trace_locals ~fuel Vm.Hooks.noop
-      prog
-  with
+let run_outcome ~engine ?(trace_locals = false) ~fuel prog =
+  match Ir.Engine.run_hooked ~engine ~trace_locals ~fuel Vm.Hooks.noop prog with
   | r -> Printf.sprintf "exit %d instrs %d" r.exit_value r.instructions
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
@@ -370,11 +364,7 @@ let test_fuel_sweep () =
     Alcotest.(check string)
       (Printf.sprintf "fuel=%d register" fuel)
       sw
-      (run_outcome ~engine:Register ~fuel prog);
-    Alcotest.(check string)
-      (Printf.sprintf "fuel=%d register/regalloc=off" fuel)
-      sw
-      (run_outcome ~engine:Register ~regalloc:false ~fuel prog)
+      (run_outcome ~engine:Register ~fuel prog)
   done
 
 (* Traps raised from inside tick segments must carry the constituent's
@@ -508,20 +498,6 @@ let test_qcheck_differential () =
          in
          out Machine.Switch = out Machine.Register))
 
-(* Register allocation is a pure renaming: coloring on vs. identity
-   windows must not change a single observable byte on random
-   programs. *)
-let test_qcheck_regalloc () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"regalloc on vs off on random programs" ~count:40
-       Testgen.arbitrary_program (fun p ->
-         let prog = Vm.Compile.compile p in
-         let out regalloc =
-           event_log_or_trap ~fuel:200_000 ~regalloc ~engine:Machine.Register
-             ~trace_locals:false prog
-         in
-         out true = out false))
-
 (* Random configuration matrix: any (engine, fuel bound, prune mask)
    must produce the profile of the reference configuration byte-for-byte
    — or trap identically when the fuel bound bites. Runs over the Fig. 4
@@ -577,6 +553,5 @@ let suite =
     ("ring fuel-boundary sweep", `Quick, test_fuel_ring_sweep);
     ("alloc/free churn profile", `Quick, test_churn_profile);
     ("qcheck differential", `Quick, test_qcheck_differential);
-    ("qcheck regalloc round-trip", `Quick, test_qcheck_regalloc);
     ("qcheck profile config matrix", `Quick, test_qcheck_profile_matrix);
   ]

@@ -83,7 +83,7 @@ let test_key_ignores_fingerprint_swap () =
   check Alcotest.bool "swap is not symmetric" false (k "a" "x" = k "x" "a")
 
 let test_engine_permutations_hit () =
-  (* the engine, regalloc and prune knobs are proven not to change
+  (* the engine and prune knobs are proven not to change
      profile bytes, so they share one cache line: first run computes,
      every permutation afterwards hits *)
   let prog = family_prog 0 in
@@ -97,13 +97,11 @@ let test_engine_permutations_hit () =
       Service.submit svc ~fuel ~engine:Vm.Machine.Switch ~spec:"switch" prog;
       Service.submit svc ~fuel ~engine:Vm.Machine.Register ~spec:"register"
         prog;
-      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~regalloc:false
-        ~spec:"register-noalloc" prog;
       Service.submit svc ~fuel ~static_prune:false ~spec:"noprune" prog;
       let rest = Service.drain svc in
       check Alcotest.bool "first computes" true
         (reply_outcome seed = Service.Computed);
-      check Alcotest.int "four permutations" 4 (List.length rest);
+      check Alcotest.int "three permutations" 3 (List.length rest);
       List.iter
         (fun r ->
           check Alcotest.bool
@@ -282,6 +280,31 @@ let test_feed_ordering_and_errors () =
             (reply_outcome b = Service.Hit)
       | _ -> Alcotest.fail "expected exactly one reply in second batch")
 
+(* A scale that is not a positive integer is a bad request, parsed by
+   the same Workloads.Registry.of_spec the CLI uses: never a profile of
+   a negative-size input, never an uncaught exception. *)
+let test_bad_scale_refused () =
+  with_service (fun svc ->
+      let scales = [ "abc"; "-4"; "0"; "" ] in
+      List.iter
+        (fun scale -> ignore (Service.feed svc ("workload:par2:" ^ scale)))
+        scales;
+      let replies = Service.drain svc in
+      check Alcotest.int "one reply each" (List.length scales)
+        (List.length replies);
+      List.iter2
+        (fun scale (r : Service.reply) ->
+          match r.Service.result with
+          | Ok _ -> Alcotest.failf "%s was profiled" r.Service.spec
+          | Error m ->
+              check Alcotest.string (r.Service.spec ^ " refused")
+                (Printf.sprintf
+                   "bad scale %S in workload:par2:%s: expected a positive \
+                    integer"
+                   scale scale)
+                m)
+        scales replies)
+
 let test_ready_streams_prefix () =
   with_service (fun svc ->
       (* an unknown workload resolves instantly: ready must surface it
@@ -322,6 +345,7 @@ let suite =
     ("facts reuse and validation", `Quick, test_facts_reuse_and_validation);
     ("disk store survives restart", `Quick, test_disk_store_survives_restart);
     ("feed ordering and errors", `Quick, test_feed_ordering_and_errors);
+    ("bad workload scales refused", `Quick, test_bad_scale_refused);
     ("ready streams prefix", `Quick, test_ready_streams_prefix);
     ("LRU eviction", `Quick, test_lru_eviction);
   ]

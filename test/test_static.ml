@@ -611,21 +611,27 @@ let test_sanitizer_flags_corrupt_verdict_list () =
   in
   let r = Profiler.run prog in
   let p = r.Profiler.profile in
-  (match p.Profile.static_verdicts with
-  | Some ((key, v) :: rest) ->
+  let s =
+    match p.Profile.static with
+    | Some s -> s
+    | None -> Alcotest.fail "expected a static block"
+  in
+  (match s.Profile.verdicts with
+  | (key, v) :: rest ->
       let flipped =
         match v with
         | Depend.Must_dependent -> Depend.May_dependent
         | _ -> Depend.Must_dependent
       in
-      p.Profile.static_verdicts <- Some ((key, flipped) :: rest)
-  | _ -> Alcotest.fail "expected stored verdicts");
+      p.Profile.static <-
+        Some { s with Profile.verdicts = (key, flipped) :: rest }
+  | [] -> Alcotest.fail "expected stored verdicts");
   Alcotest.(check bool) "flipped verdict detected" true
     (List.exists
        (fun (i : Sanitize.issue) -> Testutil.contains i.reason "disagrees")
        (Sanitize.check p));
   (* And an empty verdict list under recorded edges = missing coverage. *)
-  p.Profile.static_verdicts <- Some [];
+  p.Profile.static <- Some { s with Profile.verdicts = [] };
   Alcotest.(check bool) "missing verdicts detected" true
     (List.exists
        (fun (i : Sanitize.issue) -> Testutil.contains i.reason "no stored verdict")
