@@ -1,12 +1,14 @@
 (* Bench harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index), plus bechamel
-   microbenches and ablations of the design choices.
+   microbenches and ablations of the design choices. It only prints
+   (fig6 also writes figures/*.svg); performance is measured by the
+   registry benchmark in perfbench/.
 
    Usage:
      dune exec bench/main.exe              -- run everything
      dune exec bench/main.exe -- table3 fig6 ...   -- run a subset
    Sections: fig2 fig3 fig4 fig6 table3 table4 table5 baseline explore micro
-   ablation perf static distance service legality race *)
+   ablation *)
 
 module W = Workloads.Workload
 module Registry = Workloads.Registry
@@ -301,9 +303,10 @@ let table5 () =
       ("aes", 0, 9.46, 5.81, 1.63);
     ]
   in
-  Printf.printf "%-10s | %12s %12s %7s %7s | paper: %8s %8s %7s\n" "benchmark"
-    "seq (instr)" "par (instr)" "naive" "speedup" "seq(s)" "par(s)" "speedup";
-  Printf.printf "%s\n" (String.make 104 '-');
+  Printf.printf "%-10s | %12s %12s %7s %7s %7s %7s | paper: %8s %8s %7s\n"
+    "benchmark" "seq (instr)" "par (instr)" "naive" "speedup" "proven" "gated"
+    "seq(s)" "par(s)" "speedup";
+  Printf.printf "%s\n" (String.make 120 '-');
   List.iter
     (fun (name, idx, pseq, ppar, pspd) ->
       let w = Registry.find name in
@@ -319,16 +322,32 @@ let table5 () =
         Parsim.Speedup.analyze ~fuel ~cores:4 ?spawn_overhead:spawn
           ~privatize:site.W.privatize ~reduce:site.W.reduce prog ~head_pc
       in
+      let dep = Static.Depend.analyze prog in
+      let legality = Static.Depend.legality dep in
+      let proven =
+        Parsim.Speedup.analyze ~fuel ~cores:4 ?spawn_overhead:spawn ~legality
+          prog ~head_pc
+      in
+      let gated =
+        Parsim.Speedup.analyze ~fuel ~cores:4 ?spawn_overhead:spawn ~legality
+          ~race:(Static.Depend.race dep) prog ~head_pc
+      in
       Printf.printf
-        "%-10s | %12d %12d %7.2f %7.2f | paper: %8.2f %8.2f %7.2f\n" name
-        xf.Parsim.Speedup.seq_instructions xf.Parsim.Speedup.par_instructions
-        naive.Parsim.Speedup.speedup xf.Parsim.Speedup.speedup pseq ppar pspd)
+        "%-10s | %12d %12d %7.2f %7.2f %7.2f %7.2f | paper: %8.2f %8.2f %7.2f\n"
+        name xf.Parsim.Speedup.seq_instructions
+        xf.Parsim.Speedup.par_instructions naive.Parsim.Speedup.speedup
+        xf.Parsim.Speedup.speedup proven.Parsim.Speedup.speedup
+        gated.Parsim.Speedup.speedup pseq ppar pspd)
     rows;
   print_endline
     "\n'naive' honors every profiled WAR/WAW; 'speedup' applies the paper's\n\
      transforms (privatization + reductions). Shape: near-linear for\n\
      ogg/bzip2, modest for par2 (serial hashing, Amdahl) and aes (per-16B-\n\
-     block dispatch overhead; see EXPERIMENTS.md)."
+     block dispatch overhead; see EXPERIMENTS.md).\n\
+     'proven' drops only the edges the transform-legality engine proves\n\
+     removable (no hand-named lists); 'gated' is 'proven' with every edge\n\
+     kept at a loop the static race detector calls racy (par2's\n\
+     ProcessData)."
 
 (* --- baseline comparison (the paper's SIII argument) --------------------------- *)
 
@@ -632,747 +651,6 @@ let explore_bench () =
      rediscovers the paper's hand-chosen sites and transforms (near-linear\n\
      bzip2/ogg, modest par2/aes, nothing on delaunay)."
 
-(* --- perf: engines, end-to-end profiling and sharded speedup ----------------------- *)
-
-let perf_jobs = ref (Driver.Parallel.default_jobs ())
-
-let perf () =
-  header "Perf — the register engine vs the switch reference";
-  let w = Registry.find "gzip-1.3.5" in
-  let prog = W.compile w ~scale:w.W.default_scale in
-  let instrs = (Ir.Engine.run ~fuel prog).Vm.Machine.instructions in
-  let sample f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  (* The end-to-end rows are ratios of runs made in one process on a
-     time-shared host. Sampling the configurations in separate blocks
-     lets a noisy minute land on only one of them, so the rounds
-     interleave them back to back and keep each one's best — sustained
-     interference then inflates every best equally and the ratios
-     survive (see DESIGN.md's bench methodology note). *)
-  let interleaved_best runs fs =
-    let best = Array.map (fun f -> sample f) fs in
-    for _ = 2 to runs do
-      Array.iteri
-        (fun i f ->
-          let v, wall = sample f in
-          if wall < snd best.(i) then best.(i) <- (v, wall))
-        fs
-    done;
-    best
-  in
-  (* --- gzip end-to-end profile ------------------------------------------ *)
-  let e2e_runs = 15 in
-  ignore (Profiler.run ~fuel prog) (* warm *);
-  let e2e =
-    interleaved_best e2e_runs
-      [|
-        (fun () -> Profiler.run ~fuel prog);
-        (fun () -> Profiler.run ~engine:Vm.Machine.Switch ~fuel prog);
-      |]
-  in
-  let r, wall = e2e.(0) and r_sw, wall_sw = e2e.(1) in
-  let events = r.Profiler.stats.Profiler.shadow_events in
-  let ns w = w *. 1e9 /. float_of_int events in
-  let bytes (r : Profiler.result) = Alchemist.Profile_io.to_string r.profile in
-  let profiles_identical = bytes r = bytes r_sw in
-  Printf.printf
-    "\nmini-gzip end-to-end profile (best of %d, interleaved, %d shadow \
-     events):\n"
-    e2e_runs events;
-  Printf.printf "  switch               %.3fs wall  %6.1f ns/event\n" wall_sw
-    (ns wall_sw);
-  Printf.printf
-    "  register             %.3fs wall  %6.1f ns/event  (%.2fx vs switch)\n"
-    wall (ns wall) (wall_sw /. wall);
-  Printf.printf "  profiles byte-identical across engines: %b\n"
-    profiles_identical;
-  let snap = Profiler.telemetry r in
-  let count name =
-    match Obs.find snap name with Some (Obs.Count n) -> n | _ -> 0
-  in
-  let gauge name =
-    match Obs.find snap name with Some (Obs.Level { last; _ }) -> last | _ -> 0
-  in
-  let ring_events = count "ir.ring_events" in
-  let ring_drains = count "ir.ring_drains" in
-  (* p99 ring depth: log2-bucket upper bound clamped to the observed
-     max (a full ring of depth_max 8192 must not report 16383). *)
-  let depth_p99 =
-    Option.value ~default:0 (Obs.dist_percentile_upper snap "ir.ring_depth" 99)
-  in
-  let depth_max =
-    match Obs.find snap "ir.ring_depth" with
-    | Some (Obs.Dist { max; _ }) -> max
-    | _ -> 0
-  in
-  Printf.printf
-    "ring: %d events in %d drains (%.0f events/drain), depth p99 <= %d, max \
-     %d\n"
-    ring_events ring_drains
-    (if ring_drains = 0 then 0.
-     else float_of_int ring_events /. float_of_int ring_drains)
-    depth_p99 depth_max;
-  Printf.printf "freshen memo: %.3f freshens/event\n"
-    (float_of_int (count "shadow.freshen_checks") /. float_of_int events);
-  Printf.printf "register IR: %d IR instrs per 1000 stack instrs, %d spill(s)\n"
-    (gauge "ir.instrs_per_stack_instr")
-    (gauge "ir.spills");
-  (* --- dispatch: ns/instr, unhooked and cheap-hooked --------------------- *)
-  (* Counting hooks cost one int bump per event: they isolate engine
-     dispatch + hook delivery from the profiler's rule machinery. Raw
-     hooks get every instruction, so the register rows include the
-     ring's per-pc expansion. *)
-  let hook_events = ref 0 in
-  let cheap =
-    {
-      Vm.Hooks.on_instr = (fun ~pc:_ -> incr hook_events);
-      on_read = (fun ~pc:_ ~addr:_ -> incr hook_events);
-      on_write = (fun ~pc:_ ~addr:_ -> incr hook_events);
-      on_branch = (fun ~pc:_ ~kind:_ ~cid:_ ~taken:_ -> incr hook_events);
-      on_call = (fun ~pc:_ ~fid:_ -> incr hook_events);
-      on_ret = (fun ~pc:_ ~fid:_ -> incr hook_events);
-      on_frame_release = (fun ~base:_ ~size:_ -> incr hook_events);
-    }
-  in
-  let runs = 7 in
-  let ns_per_instr wall = wall *. 1e9 /. float_of_int instrs in
-  Printf.printf "\ndispatch (gzip-1.3.5, %d instructions, best of %d):\n"
-    instrs runs;
-  List.iter
-    (fun (name, engine) ->
-      let best =
-        interleaved_best runs
-          [|
-            (fun () -> Ir.Engine.run ~engine ~fuel prog);
-            (fun () ->
-              Ir.Engine.run_hooked ~engine ~trace_locals:false ~fuel cheap prog);
-          |]
-      in
-      Printf.printf "  %-22s %6.2f ns/instr unhooked  %6.2f ns/instr hooked\n"
-        name
-        (ns_per_instr (snd best.(0)))
-        (ns_per_instr (snd best.(1))))
-    [ ("switch", Vm.Machine.Switch); ("register", Vm.Machine.Register) ];
-  (* --- pool churn: scan_len telemetry under a capacity-bound pool -------- *)
-  let churn_prog =
-    Vm.Compile.compile_source
-      {| int g;
-         int main() {
-           for (int i = 0; i < 20000; i++) { g += i; if (g > 100000) g = 0; }
-           return g;
-         } |}
-  in
-  let rc = Profiler.run ~pool_capacity:8 churn_prog in
-  let scan_count, scan_sum =
-    match Obs.find (Profiler.telemetry rc) "pool.scan_len" with
-    | Some (Obs.Dist { count; sum; _ }) -> (count, sum)
-    | _ -> (0, 0)
-  in
-  Printf.printf
-    "\npool churn (capacity 8): scan_len count %d, sum %d, reused %d\n"
-    scan_count scan_sum rc.Profiler.stats.Profiler.pool_reused;
-  (* Sharding is a throughput claim, so the job count must not exceed the
-     cores that actually exist: oversubscribed domains time-slice one CPU
-     and inter-domain GC coordination turns the "speedup" into a slowdown
-     (the BENCH_1 0.34x artifact). Clamp, and say so. *)
-  let cores = Domain.recommended_domain_count () in
-  let requested = max 1 !perf_jobs in
-  let jobs = min requested cores in
-  if requested > cores then
-    Printf.printf
-      "  warning: -j %d exceeds %d host core(s); clamping to -j %d\n" requested
-      cores jobs;
-  if jobs <= 1 then
-    Printf.printf
-      "\nregistry sharding comparison skipped: %d host core(s) — domains\n\
-       would time-slice one CPU and measure scheduler noise, not speedup\n"
-      cores
-  else begin
-    let scale_of (w : W.t) = w.W.default_scale in
-    let seq, seq_wall =
-      sample (fun () -> Driver.Parallel.profile_registry ~jobs:1 ~fuel ~scale_of ())
-    in
-    let par, par_wall =
-      sample (fun () -> Driver.Parallel.profile_registry ~jobs ~fuel ~scale_of ())
-    in
-    let identical =
-      List.for_all2
-        (fun (_, (a : Profiler.result)) (_, (b : Profiler.result)) ->
-          bytes a = bytes b)
-        seq par
-    in
-    Printf.printf
-      "\nregistry (%d workloads): -j1 %.2fs  -j%d %.2fs  (%.2fx), sharded \
-       profiles byte-identical: %b\n"
-      (List.length seq) seq_wall jobs par_wall (seq_wall /. par_wall) identical
-  end
-
-(* --- static: instrumentation pruning ---------------------------------------------- *)
-
-let static_bench () =
-  header "Static — dependence analysis + instrumentation pruning (gzip)";
-  let w = Registry.find "gzip-1.3.5" in
-  let prog = W.compile w ~scale:w.W.default_scale in
-  let runs = 7 in
-  let best_of f =
-    let best = ref infinity and bv = ref None in
-    for _ = 1 to runs do
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      let wall = Unix.gettimeofday () -. t0 in
-      if wall < !best then begin
-        best := wall;
-        bv := Some v
-      end
-    done;
-    (Option.get !bv, !best)
-  in
-  (* Analysis cost alone: the whole static pipeline (CFA + reaching defs
-     + points-to + verdicts) on the full workload program. *)
-  let dep, analysis_wall = best_of (fun () -> Static.Depend.analyze prog) in
-  ignore dep;
-  (* Warm, then best-of-N end-to-end profile with pruning on and off.
-     Both runs produce the same profile bytes (the acceptance criterion);
-     the off run's shadow_events is the common normalizer so the two
-     ns/event figures compare the same amount of profiling work. *)
-  ignore (Profiler.run ~fuel prog);
-  let r_on, wall_on = best_of (fun () -> Profiler.run ~fuel prog) in
-  let r_off, wall_off =
-    best_of (fun () -> Profiler.run ~static_prune:false ~fuel prog)
-  in
-  let events_off = r_off.Profiler.stats.Profiler.shadow_events in
-  let ns_on = wall_on *. 1e9 /. float_of_int events_off in
-  let ns_off = wall_off *. 1e9 /. float_of_int events_off in
-  let identical =
-    Alchemist.Profile_io.to_string r_on.Profiler.profile
-    = Alchemist.Profile_io.to_string r_off.Profiler.profile
-  in
-  let pruned = r_on.Profiler.stats.Profiler.pruned_pcs in
-  let event_pcs = r_on.Profiler.stats.Profiler.event_pcs in
-  Printf.printf "\nstatic analysis: %.4fs (best of %d)\n" analysis_wall runs;
-  Printf.printf "pruned %d of %d memory-event pcs\n" pruned event_pcs;
-  Printf.printf
-    "profile (normalized by the unpruned run's %d shadow events):\n" events_off;
-  Printf.printf "  prune off  %.3fs wall  %6.1f ns/event\n" wall_off ns_off;
-  Printf.printf "  prune on   %.3fs wall  %6.1f ns/event  (%.2fx)\n" wall_on
-    ns_on (wall_off /. wall_on);
-  Printf.printf "profiles byte-identical: %b\n" identical;
-  let oc = open_out "BENCH_4.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "static dependence analysis + instrumentation pruning",
-  "workload": "gzip-1.3.5",
-  "runs": %d,
-  "analysis_wall_s": %.4f,
-  "pruned_pcs": %d,
-  "event_pcs": %d,
-  "shadow_events_unpruned": %d,
-  "prune_off": { "wall_s": %.4f, "ns_per_event": %.2f },
-  "prune_on": { "wall_s": %.4f, "ns_per_event": %.2f },
-  "speedup": %.3f,
-  "profiles_identical": %b
-}
-|}
-    runs analysis_wall pruned event_pcs events_off wall_off ns_off wall_on
-    ns_on (wall_off /. wall_on) identical;
-  close_out oc;
-  print_endline "wrote BENCH_4.json"
-
-(* --- distance: dependence-distance engine ----------------------------------------- *)
-
-let distance_bench () =
-  header "Distance — static dependence-distance analysis across the registry";
-  let runs = 7 in
-  let best_of f =
-    let best = ref infinity and bv = ref None in
-    for _ = 1 to runs do
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      let wall = Unix.gettimeofday () -. t0 in
-      if wall < !best then begin
-        best := wall;
-        bv := Some v
-      end
-    done;
-    (Option.get !bv, !best)
-  in
-  Printf.printf "\n%-14s %10s %9s %12s %12s %7s\n" "workload" "analysis"
-    "event-pcs" "pruned-base" "pruned-dist" "bounds";
-  let rows =
-    List.map
-      (fun (w : W.t) ->
-        let prog = W.compile w ~scale:w.W.test_scale in
-        (* Distance engine cost alone (induction + affine solve + query
-           tables), best of N; the two full analyses below measure the
-           prune coverage the distance facts add on top of the region
-           rules. *)
-        let _, dist_wall =
-          best_of (fun () ->
-              Static.Distance.analyze ~called_once:(fun _ -> false) prog)
-        in
-        let base = Static.Depend.analyze ~distance_promotion:false prog in
-        let full = Static.Depend.analyze prog in
-        let pruned_base = Static.Depend.pruned_count base in
-        let pruned_full = Static.Depend.pruned_count full in
-        let event_pcs = Static.Depend.event_count full in
-        (* Proven bounds actually persisted for this workload's profile
-           (the distbound lines `alchemist check` cross-validates). *)
-        let r = Profiler.run ~fuel prog in
-        let bounds =
-          match r.Profiler.profile.Profile.static with
-          | Some s -> List.length s.Profile.distbounds
-          | None -> 0
-        in
-        Printf.printf "%-14s %9.4fs %9d %12d %12d %7d\n" w.W.name dist_wall
-          event_pcs pruned_base pruned_full bounds;
-        Printf.sprintf
-          {|    { "name": "%s", "distance_analysis_wall_s": %.4f,
-      "event_pcs": %d, "pruned_base": %d, "pruned_with_distance": %d,
-      "prune_delta": %d, "distance_bounds": %d }|}
-          w.W.name dist_wall event_pcs pruned_base pruned_full
-          (pruned_full - pruned_base) bounds)
-      Registry.all
-  in
-  let oc = open_out "BENCH_5.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "static dependence-distance engine",
-  "runs": %d,
-  "scale": "test",
-  "workloads": [
-%s
-  ]
-}
-|}
-    runs
-    (String.concat ",\n" rows);
-  close_out oc;
-  print_endline "wrote BENCH_5.json"
-
-(* --- service: scheduler + content-addressed cache -------------------------------- *)
-
-let service_bench () =
-  header "Registry service — work-stealing scheduler + content-addressed cache";
-  let workers = max 2 !perf_jobs in
-  (* Two input scales per workload: 18 distinct cache keys over 9 code
-     fingerprints, so the cold pass exercises both the miss path and
-     the static-facts reuse (second scale of each workload shares the
-     first's code). The warm pass replays the same requests against
-     the same cache object through a fresh service — every reply must
-     come from the cache, byte-identical, and an order of magnitude
-     faster than profiling. *)
-  let requests =
-    List.concat_map
-      (fun (w : W.t) ->
-        List.map
-          (fun scale ->
-            ( Printf.sprintf "workload:%s:%d" w.W.name scale,
-              W.compile w ~scale ))
-          [ w.W.test_scale; max 2 (w.W.test_scale / 2) ])
-      Registry.all
-  in
-  (* An input family: the input lives in an initialized global, so the
-     four variants share code — distinct cache keys, one static
-     analysis. This is the incremental re-profiling path (the 18
-     workload requests above bake their scale into the code, so each
-     needs its own facts). *)
-  let family_requests =
-    List.map
-      (fun mode ->
-        ( Printf.sprintf "family:mode=%d" mode,
-          Vm.Compile.compile_source
-            (Printf.sprintf
-               {|int mode = %d;
-                 int acc;
-                 int out[64];
-                 int main() {
-                   for (int i = 0; i < 4000 + mode; i++) {
-                     int s = 0;
-                     for (int k = 0; k < 40; k++) s += i + k;
-                     if (mode > 1) acc += s;
-                     out[i & 63] = s + out[(i + mode) & 63];
-                   }
-                   return acc;
-                 }|}
-               mode) ))
-      [ 0; 1; 2; 3 ]
-  in
-  let requests = requests @ family_requests in
-  let n = List.length requests in
-  let cache = Driver.Cache.create () in
-  let run_pass () =
-    let svc = Driver.Service.create ~workers ~cache () in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (spec, prog) -> Driver.Service.submit svc ~fuel ~spec prog)
-      requests;
-    let replies = Driver.Service.drain svc in
-    let wall = Unix.gettimeofday () -. t0 in
-    let snap = Driver.Service.telemetry svc in
-    Driver.Service.shutdown svc;
-    (replies, wall, snap)
-  in
-  let cold_replies, cold_wall, cold_snap = run_pass () in
-  let warm_replies, warm_wall, warm_snap = run_pass () in
-  (* The reference output the service must reproduce byte-for-byte:
-     plain profiler runs, the profile-all path. *)
-  let direct =
-    List.map
-      (fun (spec, prog) ->
-        (spec, Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile))
-      requests
-  in
-  let bytes_of (r : Driver.Service.reply) =
-    match r.Driver.Service.result with
-    | Ok (_, _, bytes) -> bytes
-    | Error msg -> failwith ("service error: " ^ msg)
-  in
-  let profiles_identical =
-    List.for_all2
-      (fun (cold, warm) (_, direct_bytes) ->
-        String.equal (bytes_of cold) (bytes_of warm)
-        && String.equal (bytes_of cold) direct_bytes)
-      (List.combine cold_replies warm_replies)
-      direct
-  in
-  let all_warm_hits =
-    List.for_all
-      (fun (r : Driver.Service.reply) ->
-        match r.Driver.Service.result with
-        | Ok (Driver.Service.Hit, _, _) -> true
-        | _ -> false)
-      warm_replies
-  in
-  let count snap name = Option.value ~default:0 (Obs.find_count snap name) in
-  (* The cache is shared across the two passes, so warm-pass cache
-     counters are the cumulative minus the cold snapshot. *)
-  let warm_hits = count warm_snap "cache.hits" - count cold_snap "cache.hits" in
-  let steals = count cold_snap "sched.steals" in
-  let steal_batches = count cold_snap "sched.steal_batches" in
-  let pctl p =
-    Option.value ~default:0
-      (Obs.dist_percentile_upper cold_snap "sched.job_latency_ns" p)
-  in
-  let jobs_per_s wall = float_of_int n /. wall in
-  let speedup = cold_wall /. warm_wall in
-  Printf.printf
-    "%d requests (9 workloads x 2 scales + 4-input family) on %d workers:\n" n
-    workers;
-  Printf.printf "  cold  %.3fs wall  %7.1f jobs/s  (%d misses, %d steals in %d batches)\n"
-    cold_wall (jobs_per_s cold_wall)
-    (count cold_snap "cache.misses")
-    steals steal_batches;
-  Printf.printf "  warm  %.5fs wall  %7.1f jobs/s  (%d hits, all-hit %b)\n"
-    warm_wall (jobs_per_s warm_wall) warm_hits all_warm_hits;
-  Printf.printf "  warm speedup %.0fx, job latency p50 <= %.1fms p99 <= %.1fms\n"
-    speedup
-    (float_of_int (pctl 50) /. 1e6)
-    (float_of_int (pctl 99) /. 1e6);
-  Printf.printf "  static facts: %d computed, %d reused (input change reuses code facts)\n"
-    (count cold_snap "service.facts_computed")
-    (count cold_snap "service.facts_reused");
-  Printf.printf "  profiles byte-identical (cold/warm/direct): %b\n"
-    profiles_identical;
-  let oc = open_out "BENCH_8.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "registry service: work-stealing scheduler + content-addressed profile cache",
-  "workers": %d,
-  "requests": %d,
-  "cold": {
-    "wall_s": %.4f,
-    "jobs_per_s": %.1f,
-    "misses": %d,
-    "steals": %d,
-    "steal_batches": %d,
-    "latency_p50_ns_upper": %d,
-    "latency_p99_ns_upper": %d
-  },
-  "warm": {
-    "wall_s": %.6f,
-    "jobs_per_s": %.1f,
-    "hits": %d,
-    "hit_rate": %.3f,
-    "all_hits": %b
-  },
-  "warm_speedup": %.1f,
-  "facts_computed": %d,
-  "facts_reused": %d,
-  "profiles_identical": %b,
-  "cold_telemetry": %s
-}
-|}
-    workers n cold_wall (jobs_per_s cold_wall)
-    (count cold_snap "cache.misses")
-    steals steal_batches (pctl 50) (pctl 99) warm_wall (jobs_per_s warm_wall)
-    warm_hits
-    (float_of_int warm_hits /. float_of_int n)
-    all_warm_hits speedup
-    (count cold_snap "service.facts_computed")
-    (count cold_snap "service.facts_reused")
-    profiles_identical
-    (Obs.render_json (Obs.filter (fun _ v -> match v with Obs.Span _ -> false | _ -> true) cold_snap));
-  close_out oc;
-  print_endline "wrote BENCH_8.json"
-
-(* --- transform legality: speedup from proven-removable edges only ---------------- *)
-
-(* Table V's transforms drop the edges the paper's {e manual} rewrites
-   remove. The honest middle ground is dropping only what the
-   transform-legality engine {e proves} removable — no hand-named
-   variable lists. For every loop parallelization site in the registry
-   this compares all-edges-blocking scheduling against proven-edges-
-   dropped scheduling at 16/64/256 cores: the gap is the speedup the
-   static proofs alone unlock. *)
-let legality_bench () =
-  header "Transform legality — speedup from proven-removable edges only";
-  let cores_list = [ 16; 64; 256 ] in
-  let rows =
-    List.concat_map
-      (fun (w : W.t) ->
-        let prog = W.compile w ~scale:w.W.default_scale in
-        List.filter_map
-          (fun (site : W.site) ->
-            let head_pc = site.W.locate prog in
-            match Vm.Program.construct_at prog head_pc with
-            | Some c when c.Vm.Program.kind = Vm.Program.CLoop ->
-                Some (w.W.name, site, prog, head_pc)
-            | _ -> None)
-          w.W.sites)
-      Registry.all
-    (* the same loop can back two sites (gzip's per-file loop) *)
-    |> List.fold_left
-         (fun acc ((name, _, _, head_pc) as row) ->
-           if
-             List.exists
-               (fun (n, _, _, h) -> n = name && h = head_pc)
-               acc
-           then acc
-           else row :: acc)
-         []
-    |> List.rev
-  in
-  let results =
-    List.map
-      (fun (name, (site : W.site), prog, head_pc) ->
-        let dep = Static.Depend.analyze prog in
-        let legality = Static.Depend.legality dep in
-        let proven_priv, proven_red =
-          Parsim.Transform.legality_ranges legality ~head_pc
-        in
-        let graph ~privatized ~reductions =
-          Parsim.Task_graph.collect ~fuel ~privatized ~reductions prog ~head_pc
-        in
-        let naive_g = graph ~privatized:[] ~reductions:[] in
-        let legal_g = graph ~privatized:proven_priv ~reductions:proven_red in
-        let speedups g =
-          List.map
-            (fun cores ->
-              let config =
-                {
-                  Parsim.Scheduler.cores;
-                  spawn_overhead =
-                    Option.value
-                      ~default:
-                        Parsim.Scheduler.default_config
-                          .Parsim.Scheduler.spawn_overhead
-                      site.W.spawn_overhead;
-                  join_overhead =
-                    Parsim.Scheduler.default_config
-                      .Parsim.Scheduler.join_overhead;
-                }
-              in
-              (Parsim.Scheduler.simulate ~config g).Parsim.Scheduler.speedup)
-            cores_list
-        in
-        let naive = speedups naive_g and legal = speedups legal_g in
-        let improved = List.exists2 (fun n l -> l > n) naive legal in
-        (name, site.W.site_name, proven_priv, proven_red, naive, legal,
-         improved))
-      rows
-  in
-  Printf.printf "%-10s %-40s | %4s %4s | %24s | %24s\n" "workload" "site"
-    "priv" "red" "blocking 16/64/256" "proven-legal 16/64/256";
-  Printf.printf "%s\n" (String.make 120 '-');
-  List.iter
-    (fun (name, site_name, privs, reds, naive, legal, improved) ->
-      let trio l =
-        String.concat "/" (List.map (Printf.sprintf "%.2f") l)
-      in
-      Printf.printf "%-10s %-40s | %4d %4d | %24s | %24s%s\n" name
-        (if String.length site_name > 40 then String.sub site_name 0 40
-         else site_name)
-        (List.length privs) (List.length reds) (trio naive) (trio legal)
-        (if improved then "  <- proofs unlock speedup" else ""))
-    results;
-  let improved_names =
-    List.filter_map
-      (fun (name, _, _, _, _, _, improved) -> if improved then Some name else None)
-      results
-    |> List.sort_uniq compare
-  in
-  Printf.printf
-    "\n%d of %d sites improve with proven-removable edges only (%s).\n"
-    (List.length
-       (List.filter (fun (_, _, _, _, _, _, i) -> i) results))
-    (List.length results)
-    (String.concat ", " improved_names);
-  let oc = open_out "BENCH_9.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "transform legality: scheduling with only proven-removable edges dropped",
-  "cores": [%s],
-  "sites": [
-%s
-  ],
-  "workloads_improved": [%s]
-}
-|}
-    (String.concat ", " (List.map string_of_int cores_list))
-    (String.concat ",\n"
-       (List.map
-          (fun (name, site_name, privs, reds, naive, legal, improved) ->
-            let trio l =
-              String.concat ", " (List.map (Printf.sprintf "%.3f") l)
-            in
-            Printf.sprintf
-              "    {\"workload\": %S, \"site\": %S, \"proven_privatizable\": \
-               %d, \"proven_reductions\": %d,\n\
-              \     \"speedup_all_edges_blocking\": [%s], \
-               \"speedup_proven_legal\": [%s], \"improved\": %b}"
-              name site_name (List.length privs) (List.length reds)
-              (trio naive) (trio legal) improved)
-          results))
-    (String.concat ", "
-       (List.map (Printf.sprintf "%S") improved_names));
-  close_out oc;
-  print_endline "wrote BENCH_9.json"
-
-(* --- static race detection: verdicts, cost, and the gated speedup ---------------- *)
-
-(* The race detector is the gatekeeper between profile advice and an
-   actual spawn. Three figures, per registry workload: what the
-   detector says (status counts over the program's constructs), what it
-   costs (wall time to build the analysis and classify every
-   construct), and what the gate changes — for every loop
-   parallelization site, the 64-core proven-legal speedup when edge
-   dropping is conditioned on a race-free verdict (a racy construct
-   schedules with every edge intact) next to the ungated figure. *)
-let race_bench () =
-  header "Static race detection — verdicts, cost, gated speedup";
-  let cores = 64 in
-  let results =
-    List.map
-      (fun (w : W.t) ->
-        let prog = W.compile w ~scale:w.W.default_scale in
-        let t0 = Unix.gettimeofday () in
-        let dep = Static.Depend.analyze prog in
-        let race = Static.Depend.race dep in
-        let free = ref 0 and racy = ref 0 and unknown = ref 0 in
-        Array.iter
-          (fun (c : Vm.Program.construct_info) ->
-            match Static.Race.status race ~cid:c.Vm.Program.cid with
-            | Some Static.Race.Status.Race_free -> incr free
-            | Some Static.Race.Status.Racy -> incr racy
-            | Some Static.Race.Status.Unknown -> incr unknown
-            | None -> ())
-          prog.Vm.Program.constructs;
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        let legality = Static.Depend.legality dep in
-        let sites =
-          List.filter_map
-            (fun (site : W.site) ->
-              let head_pc = site.W.locate prog in
-              match Vm.Program.construct_at prog head_pc with
-              | Some c when c.Vm.Program.kind = Vm.Program.CLoop ->
-                  Some (site, head_pc, c.Vm.Program.cid)
-              | _ -> None)
-            w.W.sites
-          |> List.fold_left
-               (fun acc ((_, head_pc, _) as row) ->
-                 if List.exists (fun (_, h, _) -> h = head_pc) acc then acc
-                 else row :: acc)
-               []
-          |> List.rev
-          |> List.map (fun ((site : W.site), head_pc, cid) ->
-                 let status =
-                   match Static.Race.status race ~cid with
-                   | Some s -> Static.Race.Status.to_string s
-                   | None -> "none"
-                 in
-                 let ungated =
-                   Parsim.Speedup.analyze ~fuel ~cores ~legality prog ~head_pc
-                 in
-                 let gated =
-                   Parsim.Speedup.analyze ~fuel ~cores ~legality ~race prog
-                     ~head_pc
-                 in
-                 ( site.W.site_name,
-                   status,
-                   ungated.Parsim.Speedup.speedup,
-                   gated.Parsim.Speedup.speedup,
-                   gated.Parsim.Speedup.race_refusal <> None ))
-        in
-        (w.W.name, wall_ms, !free, !racy, !unknown, sites))
-      Registry.all
-  in
-  Printf.printf "%-10s %8s | %5s %5s %8s\n" "workload" "wall ms" "free"
-    "racy" "unknown";
-  Printf.printf "%s\n" (String.make 48 '-');
-  List.iter
-    (fun (name, wall_ms, free, racy, unknown, _) ->
-      Printf.printf "%-10s %8.1f | %5d %5d %8d\n" name wall_ms free racy
-        unknown)
-    results;
-  Printf.printf "\n%-10s %-40s %-10s | %10s %10s\n" "workload" "site"
-    "status" "ungated" "gated";
-  Printf.printf "%s\n" (String.make 90 '-');
-  List.iter
-    (fun (name, _, _, _, _, sites) ->
-      List.iter
-        (fun (site_name, status, ungated, gated, refused) ->
-          Printf.printf "%-10s %-40s %-10s | %10.2f %10.2f%s\n" name
-            (if String.length site_name > 40 then String.sub site_name 0 40
-             else site_name)
-            status ungated gated
-            (if refused then "  <- racy: no edges dropped" else ""))
-        sites)
-    results;
-  let oc = open_out "BENCH_10.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "static race detection: verdicts, analysis cost, race-gated scheduling",
-  "cores": %d,
-  "workloads": [
-%s
-  ]
-}
-|}
-    cores
-    (String.concat ",\n"
-       (List.map
-          (fun (name, wall_ms, free, racy, unknown, sites) ->
-            Printf.sprintf
-              "    {\"workload\": %S, \"detector_wall_ms\": %.2f, \
-               \"race_free\": %d, \"racy\": %d, \"unknown\": %d,\n\
-              \     \"sites\": [%s]}"
-              name wall_ms free racy unknown
-              (String.concat ", "
-                 (List.map
-                    (fun (site_name, status, ungated, gated, refused) ->
-                      Printf.sprintf
-                        "{\"site\": %S, \"status\": %S, \
-                         \"speedup_ungated\": %.3f, \
-                         \"speedup_race_gated\": %.3f, \"refused\": %b}"
-                        site_name status ungated gated refused)
-                    sites)))
-          results));
-  close_out oc;
-  print_endline "wrote BENCH_10.json"
-
 (* --- main ------------------------------------------------------------------------ *)
 
 let sections =
@@ -1388,24 +666,10 @@ let sections =
     ("explore", explore_bench);
     ("micro", micro);
     ("ablation", ablation);
-    ("perf", perf);
-    ("static", static_bench);
-    ("distance", distance_bench);
-    ("service", service_bench);
-    ("legality", legality_bench);
-    ("race", race_bench);
   ]
 
 let () =
-  (* -j N sets the worker-domain count for the perf section. *)
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "-j" :: n :: rest ->
-        perf_jobs := int_of_string n;
-        parse acc rest
-    | a :: rest -> parse (a :: acc) rest
-  in
-  let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let args = List.tl (Array.to_list Sys.argv) in
   let chosen = if args = [] then List.map fst sections else args in
   List.iter
     (fun name ->

@@ -229,8 +229,13 @@ let rank_cmd =
   let rank spec fuel top =
     handle_errors (fun () ->
         let prog = load_program spec in
-        let r = Alchemist.Profiler.run ~fuel prog in
-        let entries = Alchemist.Ranking.rank r.Alchemist.Profiler.profile in
+        let facts = Alchemist.Profiler.prepare_facts prog in
+        let r = Alchemist.Profiler.run ~fuel ~facts prog in
+        let entries =
+          Alchemist.Ranking.rank
+            ~dep:(Alchemist.Profiler.facts_dep facts)
+            r.Alchemist.Profiler.profile
+        in
         List.iteri
           (fun i e ->
             if i < top then
@@ -332,11 +337,15 @@ let advise_cmd =
   let advise spec fuel loop_line proc top =
     handle_errors (fun () ->
         let prog = load_program spec in
-        let r = Alchemist.Profiler.run ~fuel prog in
-        let p = r.Alchemist.Profiler.profile in
+        (* One analysis serves the run, the ranking and every advice. *)
+        let facts = Alchemist.Profiler.prepare_facts prog in
+        let dep = Alchemist.Profiler.facts_dep facts in
+        let p =
+          (Alchemist.Profiler.run ~fuel ~facts prog).Alchemist.Profiler.profile
+        in
         let advise_cid cid =
           Format.printf "%a@.@." Alchemist.Advice.pp
-            (Alchemist.Advice.advise p ~cid)
+            (Alchemist.Advice.advise ~dep p ~cid)
         in
         match (loop_line, proc) with
         | Some line, None ->
@@ -350,7 +359,7 @@ let advise_cmd =
                  (Alchemist.Profile.cid_of_head_pc p
                     (Parsim.Speedup.proc_head prog name)))
         | None, None ->
-            Alchemist.Ranking.rank p
+            Alchemist.Ranking.rank ~dep p
             |> List.iteri (fun i (e : Alchemist.Ranking.entry) ->
                    if i < top then advise_cid e.cid)
         | Some _, Some _ -> invalid_arg "pass at most one of --loop-line/--proc")
@@ -453,7 +462,7 @@ let profile_all_cmd =
           ~doc:"Add a per-shard breakdown (wall time, events, walk depth) \
                 and the merged telemetry snapshot.")
   in
-  let profile_all fuel jobs test_scale save_dir telemetry static_prune engine =
+  let profile_all fuel jobs test_scale save_dir telemetry =
     handle_errors (fun () ->
         let jobs = max 1 jobs in
         let scale_of (w : Workloads.Workload.t) =
@@ -465,8 +474,7 @@ let profile_all_cmd =
         let sched = Driver.Scheduler.create ~workers:jobs () in
         let t0 = Unix.gettimeofday () in
         let results =
-          Driver.Parallel.profile_registry ~sched ~jobs ~engine ~fuel
-            ~static_prune ~scale_of ()
+          Driver.Parallel.profile_registry ~sched ~jobs ~fuel ~scale_of ()
         in
         let wall = Unix.gettimeofday () -. t0 in
         Driver.Scheduler.drain sched;
@@ -487,9 +495,8 @@ let profile_all_cmd =
                   (Filename.concat dir (w.name ^ ".prof")))
               save_dir)
           results;
-        Printf.printf "\n%d workloads in %.2fs on %d domain(s), %s engine\n"
-          (List.length results) wall jobs
-          (Vm.Machine.engine_to_string engine);
+        Printf.printf "\n%d workloads in %.2fs on %d domain(s)\n"
+          (List.length results) wall jobs;
         if telemetry then begin
           (* Per-shard: each run's registry carries its own driver.shard_wall
              timer, so the breakdown shows where the domains spent time. *)
@@ -526,8 +533,7 @@ let profile_all_cmd =
     (Cmd.info "profile-all"
        ~doc:"Profile every bundled workload, sharded across CPU cores.")
     Term.(
-      const profile_all $ fuel_arg $ jobs $ test_scale $ save_dir $ telemetry
-      $ static_prune_arg $ engine_arg)
+      const profile_all $ fuel_arg $ jobs $ test_scale $ save_dir $ telemetry)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -667,15 +673,14 @@ let serve_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Each request line is $(b,SPEC [fuel=N] \
-              [engine=switch|register] [trace_locals=B] [prune=B] \
+             "Each request line is $(b,SPEC [fuel=N] [trace_locals=B] \
               [pool_capacity=N] [scan_limit=N] [save=PATH]) where SPEC is \
               workload:NAME[:SCALE], with SCALE a positive integer, or a Mini-C \
               file. A request whose profile-determining inputs (program \
               code, global data, fuel, trace_locals, pool) match a cached \
-              run is answered from the cache without profiling — engine \
-              and instrumentation knobs are not part of the key because \
-              profiles are proven byte-identical across them. The bare \
+              run is answered from the cache without profiling; an on-disk \
+              entry is served only if it reads back as a profile of the \
+              request's program, and is recomputed otherwise. The bare \
               word $(b,drain) waits for all outstanding jobs; EOF drains \
               and exits. Replies: $(b,ok SEQ SPEC key=K hit|disk-hit|miss \
               bytes=N [saved=PATH]) or $(b,error SEQ SPEC: message).";

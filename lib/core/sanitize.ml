@@ -46,9 +46,8 @@ let pp_issue ppf { cid; key; reason; _ } =
     | Shadow.Dependence.Waw -> "WAW")
     reason
 
-let check ?dep (profile : Profile.t) =
+let check ~dep (profile : Profile.t) =
   let prog = profile.Profile.prog in
-  let dep = match dep with Some d -> d | None -> Static.Depend.analyze prog in
   let legality = Static.Depend.legality dep in
   let issues = ref [] in
   let add cid key category reason =

@@ -47,11 +47,12 @@ type issue = {
   reason : string;
 }
 
-val check : ?dep:Static.Depend.t -> Profile.t -> issue list
+val check : dep:Static.Depend.t -> Profile.t -> issue list
 (** All discrepancies, deterministically ordered (by cid, then packed
     key, then category). Empty = the profile is consistent with the
-    static analysis. [dep] shares an existing analysis of the same
-    program; omitted, it is recomputed from [profile.prog]. Checks:
+    static analysis [dep] of the profile's program (the caller's, e.g.
+    {!Profiler.facts_dep}; the sanitizer never analyses on its own).
+    Checks:
 
     - no recorded edge is classified {!Static.Depend.Must_independent};
     - an edge whose endpoints both provably address the current

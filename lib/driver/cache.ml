@@ -6,12 +6,17 @@
    what the profiler observes — fuel (execution length), trace_locals
    (which memory events exist and whether the static layer runs), and
    the pool capacity / scan limit (node recycling changes the
-   time-window check, hence edge attribution). The execution engine,
-   event ring, register allocation and static pruning are deliberately
-   NOT in the key: the repo's differential tests and [alchemist check]
-   enforce that they never change profile bytes, so runs that differ
-   only in those knobs share a cache line — that is the point of
-   content addressing over an engine-tagged key.
+   time-window check, hence edge attribution). Nothing else selects how
+   a profile is computed: the service always profiles on the default
+   register engine with the static prune mask applied, and the
+   differential tests and [alchemist check] pin that neither the
+   engine nor pruning changes a profile byte.
+
+   A disk entry is untrusted input (another process, or anything else,
+   may have written the file): [find_located] hands it out only when
+   the caller's [valid] accepts its bytes. A rejected entry is a miss
+   that stays out of the memory table, and [add] overwrites the file
+   with the recomputed bytes.
 
    Not thread-safe: the cache belongs to the service's control thread,
    which looks up before submitting a job and inserts when it harvests
@@ -27,6 +32,7 @@ type t = {
   obs : Obs.Registry.t;
   hits : Obs.Counter.t;
   disk_hits : Obs.Counter.t;
+  disk_rejects : Obs.Counter.t;
   misses : Obs.Counter.t;
   insertions : Obs.Counter.t;
   evictions : Obs.Counter.t;
@@ -49,6 +55,7 @@ let create ?(capacity = default_capacity) ?dir () =
     obs;
     hits = Obs.Registry.counter obs "cache.hits";
     disk_hits = Obs.Registry.counter obs "cache.disk_hits";
+    disk_rejects = Obs.Registry.counter obs "cache.disk_rejects";
     misses = Obs.Registry.counter obs "cache.misses";
     insertions = Obs.Registry.counter obs "cache.insertions";
     evictions = Obs.Registry.counter obs "cache.evictions";
@@ -124,7 +131,7 @@ let insert t k bytes =
       Obs.Counter.incr t.insertions;
       Obs.Gauge.set t.entries (Hashtbl.length t.table))
 
-let find_located t k =
+let find_located t ~valid k =
   match Hashtbl.find_opt t.table k with
   | Some e ->
       touch t e;
@@ -132,26 +139,23 @@ let find_located t k =
       Some (e.bytes, `Memory)
   | None -> (
       match Option.bind t.dir (fun d -> disk_read d k) with
-      | Some bytes ->
+      | Some bytes when valid bytes ->
           Obs.Counter.incr t.disk_hits;
           insert t k bytes;
           Some (bytes, `Disk)
+      | Some _ ->
+          Obs.Counter.incr t.disk_rejects;
+          Obs.Counter.incr t.misses;
+          None
       | None ->
           Obs.Counter.incr t.misses;
           None)
 
-let find t k = Option.map fst (find_located t k)
-
+(* Always (re)write the file: a computed result follows a miss, and a
+   miss on a present file means [find_located] rejected it. *)
 let add t k bytes =
   insert t k bytes;
-  match t.dir with
-  | Some d ->
-      if not (Sys.file_exists (disk_path d k)) then disk_write d k bytes
-  | None -> ()
-
-let mem t k =
-  Hashtbl.mem t.table k
-  || match t.dir with Some d -> Sys.file_exists (disk_path d k) | None -> false
+  Option.iter (fun d -> disk_write d k bytes) t.dir
 
 let length t = Hashtbl.length t.table
 let telemetry t = Obs.Registry.snapshot t.obs

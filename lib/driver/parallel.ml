@@ -58,26 +58,22 @@ let merge_profiles = function
 (* Each shard gets its own registry (no cross-domain contention) with a
    [driver.shard_wall] timer wrapped around the profiled execution; the
    caller can merge shard snapshots with [Obs.merge_all]. *)
-let timed_run ?engine ?fuel ?trace_locals ?static_prune prog =
+let timed_run ?fuel ?trace_locals prog =
   let obs = Obs.Registry.create () in
   let shard_wall = Obs.Registry.timer obs "driver.shard_wall" in
   Obs.Timer.start shard_wall;
-  let r =
-    Alchemist.Profiler.run ?engine ?fuel ?trace_locals ?static_prune ~obs
-      prog
-  in
+  let r = Alchemist.Profiler.run ?fuel ?trace_locals ~obs prog in
   Obs.Timer.stop shard_wall;
   r
 
-let profile_programs ?(jobs = default_jobs ()) ?engine ?fuel
-    ?trace_locals ?static_prune ?obs = function
+let profile_programs ?(jobs = default_jobs ()) ?fuel ?trace_locals ?obs =
+  function
   | [] -> invalid_arg "Parallel.profile_programs: empty list"
   | progs ->
       let results =
         map ~jobs
           (fun prog ->
-            (timed_run ?engine ?fuel ?trace_locals ?static_prune prog)
-              .Alchemist.Profiler.profile)
+            (timed_run ?fuel ?trace_locals prog).Alchemist.Profiler.profile)
           (Array.of_list progs)
       in
       let merge () = merge_profiles (Array.to_list results) in
@@ -90,8 +86,7 @@ let profile_programs ?(jobs = default_jobs ()) ?engine ?fuel
             (Array.length results);
           Obs.Timer.time mt merge)
 
-let profile_registry ?sched ?(jobs = default_jobs ()) ?engine ?fuel
-    ?static_prune
+let profile_registry ?sched ?(jobs = default_jobs ()) ?fuel
     ?(scale_of = fun (w : Workloads.Workload.t) -> w.default_scale) () =
   let compiled =
     List.map
@@ -102,6 +97,6 @@ let profile_registry ?sched ?(jobs = default_jobs ()) ?engine ?fuel
   in
   map ?sched ~jobs
     (fun ((w : Workloads.Workload.t), prog) ->
-      (w, timed_run ?engine ?fuel ?static_prune prog))
+      (w, timed_run ?fuel prog))
     compiled
   |> Array.to_list

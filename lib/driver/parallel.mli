@@ -33,10 +33,8 @@ val merge_profiles : Alchemist.Profile.t list -> Alchemist.Profile.t
 
 val profile_programs :
   ?jobs:int ->
-  ?engine:Vm.Machine.engine ->
   ?fuel:int ->
   ?trace_locals:bool ->
-  ?static_prune:bool ->
   ?obs:Obs.Registry.t ->
   Vm.Program.t list ->
   Alchemist.Profile.t
@@ -48,10 +46,8 @@ val profile_programs :
     When [obs] is given, the driver records a ["driver.merge_wall"] timer
     around the merge fold and a ["driver.shards"] counter into it (shard
     telemetry itself stays per-run; see {!profile_registry}).
-    [engine] and [static_prune] are passed through to
-    {!Alchemist.Profiler.run} (defaults: the register engine, pruning
-    on; profiles are byte-identical either way). Ring telemetry counters
-    ([ir.*]) are
+    Each shard runs {!Alchemist.Profiler.run} with its defaults. Ring
+    telemetry counters ([ir.*]) are
     ordinary registry instruments, so shard snapshots merge with
     {!Obs.merge_all} like every other counter — merge order never
     changes a merged total (the qcheck merge laws in test_obs cover
@@ -62,9 +58,7 @@ val profile_programs :
 val profile_registry :
   ?sched:Scheduler.t ->
   ?jobs:int ->
-  ?engine:Vm.Machine.engine ->
   ?fuel:int ->
-  ?static_prune:bool ->
   ?scale_of:(Workloads.Workload.t -> int) ->
   unit ->
   (Workloads.Workload.t * Alchemist.Profiler.result) list

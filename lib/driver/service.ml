@@ -81,8 +81,19 @@ let facts_for t prog code_fp =
 
 (* --- submission ----------------------------------------------------------- *)
 
-let submit t ?fuel ?engine ?(trace_locals = false) ?static_prune
-    ?pool_capacity ?scan_limit ?save ~spec prog =
+(* A disk entry is served only if it parses against the request's
+   program, carries the static block exactly when the request runs the
+   static layer, and re-serializes to the same bytes; anything else
+   (garbage, a truncated copy, another format) is recomputed. *)
+let valid_entry prog ~trace_locals bytes =
+  match Alchemist.Profile_io.read prog bytes with
+  | Ok p ->
+      Option.is_some p.Alchemist.Profile.static = not trace_locals
+      && String.equal (Alchemist.Profile_io.to_string p) bytes
+  | Error _ -> false
+
+let submit t ?fuel ?(trace_locals = false) ?pool_capacity ?scan_limit ?save
+    ~spec prog =
   t.seq <- t.seq + 1;
   let seq = t.seq in
   Obs.Counter.incr t.requests_c;
@@ -92,7 +103,9 @@ let submit t ?fuel ?engine ?(trace_locals = false) ?static_prune
     Cache.key ~code_fp ~input_fp ?fuel ~trace_locals ?pool_capacity ?scan_limit
       ()
   in
-  match Cache.find_located t.cache key with
+  match
+    Cache.find_located t.cache ~valid:(valid_entry prog ~trace_locals) key
+  with
   | Some (bytes, where) ->
       let outcome = match where with `Memory -> Hit | `Disk -> Disk_hit in
       Queue.push
@@ -104,8 +117,8 @@ let submit t ?fuel ?engine ?(trace_locals = false) ?static_prune
       let promise =
         Scheduler.submit t.sched (fun () ->
             let r =
-              Alchemist.Profiler.run ?engine ?fuel ?facts ~trace_locals
-                ?static_prune ?pool_capacity ?scan_limit prog
+              Alchemist.Profiler.run ?fuel ?facts ~trace_locals ?pool_capacity
+                ?scan_limit prog
             in
             Alchemist.Profile_io.to_string r.Alchemist.Profiler.profile)
       in
@@ -114,8 +127,8 @@ let submit t ?fuel ?engine ?(trace_locals = false) ?static_prune
 (* --- request lines -------------------------------------------------------- *)
 
 (* Grammar (one request per line):
-     <spec> [fuel=N] [engine=switch|register] [trace_locals=B] [prune=B]
-            [pool_capacity=N] [scan_limit=N] [save=PATH]
+     <spec> [fuel=N] [trace_locals=B] [pool_capacity=N] [scan_limit=N]
+            [save=PATH]
    where <spec> is workload:NAME[:SCALE] (SCALE a positive integer) or a
    Mini-C file path, and B is 0/1/true/false. Blank lines and #-comments
    are skipped; the bare word "drain" is a control line handled by the
@@ -157,9 +170,7 @@ let feed t line =
     in
     match
       let fuel = ref None
-      and engine = ref None
       and trace_locals = ref false
-      and static_prune = ref None
       and pool_capacity = ref None
       and scan_limit = ref None
       and save = ref None in
@@ -172,27 +183,18 @@ let feed t line =
               and v = String.sub opt (i + 1) (String.length opt - i - 1) in
               match k with
               | "fuel" -> fuel := Some (parse_int k v)
-              | "engine" -> (
-                  match Vm.Machine.engine_of_string v with
-                  | Some e -> engine := Some e
-                  | None ->
-                      raise
-                        (Bad_request (Printf.sprintf "engine: unknown %S" v)))
               | "trace_locals" -> trace_locals := parse_bool k v
-              | "prune" -> static_prune := Some (parse_bool k v)
               | "pool_capacity" -> pool_capacity := Some (parse_int k v)
               | "scan_limit" -> scan_limit := Some (parse_int k v)
               | "save" -> save := Some v
               | _ -> raise (Bad_request (Printf.sprintf "unknown option %S" k))))
         opts;
       let prog = compile_spec spec in
-      (prog, !fuel, !engine, !trace_locals, !static_prune, !pool_capacity,
-       !scan_limit, !save)
+      (prog, !fuel, !trace_locals, !pool_capacity, !scan_limit, !save)
     with
-    | prog, fuel, engine, trace_locals, static_prune, pool_capacity, scan_limit,
-      save ->
-        submit t ?fuel ?engine ~trace_locals ?static_prune ?pool_capacity
-          ?scan_limit ?save ~spec prog;
+    | prog, fuel, trace_locals, pool_capacity, scan_limit, save ->
+        submit t ?fuel ~trace_locals ?pool_capacity ?scan_limit ?save ~spec
+          prog;
         `Queued
     | exception e ->
         let msg =

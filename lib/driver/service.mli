@@ -14,8 +14,8 @@
 
     Request lines ({!feed}):
     {v
-    <spec> [fuel=N] [engine=switch|register] [trace_locals=B] [prune=B]
-           [pool_capacity=N] [scan_limit=N] [save=PATH]
+    <spec> [fuel=N] [trace_locals=B] [pool_capacity=N] [scan_limit=N]
+           [save=PATH]
     v}
     with [<spec>] a [workload:NAME[:SCALE]] ([SCALE] a positive integer,
     parsed by {!Workloads.Registry.of_spec}) or a Mini-C file path and
@@ -44,15 +44,13 @@ type reply = {
 val create : ?workers:int -> ?cache:Cache.t -> unit -> t
 (** Spawns the scheduler pool. [cache] defaults to a fresh in-memory
     {!Cache.create}; pass one with a [dir] for the on-disk store, or
-    share one cache across services (e.g. the bench's cold/warm pair)
+    share one cache across services (e.g. a cold/warm pair of runs)
     — the cache is only ever touched from the calling thread. *)
 
 val submit :
   t ->
   ?fuel:int ->
-  ?engine:Vm.Machine.engine ->
   ?trace_locals:bool ->
-  ?static_prune:bool ->
   ?pool_capacity:int ->
   ?scan_limit:int ->
   ?save:string ->
@@ -60,10 +58,13 @@ val submit :
   Vm.Program.t ->
   unit
 (** Structured submission of an already-compiled program ([spec] is
-    only a label for the reply). Engine and prune select how a miss is
-    computed (defaults as in {!Alchemist.Profiler.run}) but are
-    not part of the cache key — profile bytes are proven independent of
-    them. *)
+    only a label for the reply). A miss runs
+    {!Alchemist.Profiler.run} with these options and its defaults
+    otherwise. A [Disk_hit] reply carries bytes that
+    {!Alchemist.Profile_io.read} accepted against this program, with
+    the static block present exactly when [trace_locals] is off, and
+    that re-serialize to themselves; an entry failing that is
+    recomputed and replaced ({!Cache.find_located}). *)
 
 val feed : t -> string -> [ `Queued | `Drain | `Skip ]
 (** Parses one request line (grammar above). [`Queued] covers both

@@ -156,7 +156,7 @@ let same_array_no_dep dist (a : Points_to.access) (b : Points_to.access) =
    the points-to table directly: [widen_prune] re-runs it with accesses
    whose regions have been sharpened by IR-derived hints, keeping one
    derivation for both the base and the widened mask. *)
-let compute_prune_with ?(distance_promotion = true) (prog : Vm.Program.t)
+let compute_prune_with (prog : Vm.Program.t)
     (pts : Points_to.t) (get : int -> Points_to.access option)
     (dist : Distance.t) fid_of_pc live called_once loop_depth =
   let n = Array.length prog.code in
@@ -174,7 +174,7 @@ let compute_prune_with ?(distance_promotion = true) (prog : Vm.Program.t)
     in
     let disjoint a b =
       (not (Points_to.regions_may_alias a b))
-      || (distance_promotion && same_array_no_dep dist a b)
+      || same_array_no_dep dist a b
     in
     let nevents = ref 0 and npruned = ref 0 in
     for pc = 0 to n - 1 do
@@ -205,14 +205,13 @@ let compute_prune_with ?(distance_promotion = true) (prog : Vm.Program.t)
     (prune, !npruned, !nevents)
   end
 
-let compute_prune ?distance_promotion prog pts dist fid_of_pc live called_once
-    loop_depth =
-  compute_prune_with ?distance_promotion prog pts (Points_to.access pts) dist
-    fid_of_pc live called_once loop_depth
+let compute_prune prog pts dist fid_of_pc live called_once loop_depth =
+  compute_prune_with prog pts (Points_to.access pts) dist fid_of_pc live
+    called_once loop_depth
 
 (* ---- analysis entry ---------------------------------------------------- *)
 
-let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
+let analyze ?analysis (prog : Vm.Program.t) =
   let pts = Points_to.analyze prog in
   let analysis =
     match analysis with Some a -> a | None -> Cfa.Analysis.analyze prog
@@ -225,8 +224,7 @@ let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
     Distance.analyze ~called_once:(fun fid -> called_once.(fid)) prog
   in
   let prune, npruned, nevents =
-    compute_prune ~distance_promotion prog pts dist fid_of_pc live called_once
-      loop_depth
+    compute_prune prog pts dist fid_of_pc live called_once loop_depth
   in
   let modref = Modref.analyze prog pts in
   let legality = Legality.analyze prog pts modref in
@@ -312,8 +310,7 @@ let analyze ?analysis ?(distance_promotion = true) (prog : Vm.Program.t) =
    stays behaviorally invisible, as [alchemist check] requires.
 
    Returns the widened mask and the number of pcs it adds. *)
-let widen_prune ?(distance_promotion = true) t
-    ~(region_hint : int -> (int * int) option) =
+let widen_prune t ~(region_hint : int -> (int * int) option) =
   if t.pts.Points_to.degraded then (Array.copy t.prune, 0)
   else begin
     let get pc =
@@ -331,8 +328,8 @@ let widen_prune ?(distance_promotion = true) t
       | other -> other
     in
     let prune, npruned, _ =
-      compute_prune_with ~distance_promotion t.prog t.pts get t.dist
-        t.fid_of_pc t.live t.called_once t.loop_depth
+      compute_prune_with t.prog t.pts get t.dist t.fid_of_pc t.live
+        t.called_once t.loop_depth
     in
     (* Monotonicity holds by construction; keep the base mask's pcs even
        so, which pins the invariant structurally. *)

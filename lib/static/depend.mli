@@ -36,14 +36,9 @@ val verdict_of_string : string -> verdict option
 
 type t
 
-val analyze :
-  ?analysis:Cfa.Analysis.t -> ?distance_promotion:bool -> Vm.Program.t -> t
+val analyze : ?analysis:Cfa.Analysis.t -> Vm.Program.t -> t
 (** [analysis] shares an already-computed CFA result (the profiler has
-    one); omitted, it is recomputed. [distance_promotion] (default
-    [true]) lets {!prune_mask} use distance-engine [No_dep] facts to
-    prune same-array accesses; [false] measures the pruning the
-    region-disjointness rules achieve alone (the benchmark's coverage
-    baseline — profiling runs always leave it on). *)
+    one); omitted, it is recomputed. *)
 
 val points : t -> Points_to.t
 
@@ -77,15 +72,15 @@ val explain :
 
 val prune_mask : t -> bool array
 (** Indexed by pc; [true] exactly at event pcs whose hooks may be
-    skipped. The array is shared, not copied — treat as read-only. *)
+    skipped. Two accesses count as disjoint when their regions cannot
+    alias or when they touch the same global array at subscripts the
+    distance engine proves never meet ({!Distance.no_dep}). The array
+    is shared, not copied — treat as read-only. *)
 
 val pruned_count : t -> int
 
 val widen_prune :
-  ?distance_promotion:bool ->
-  t ->
-  region_hint:(int -> (int * int) option) ->
-  bool array * int
+  t -> region_hint:(int -> (int * int) option) -> bool array * int
 (** Re-derive the prune mask with externally proven regions substituted
     for incomplete accesses: [region_hint pc = Some (base, len)] asserts
     that whenever the event at [pc] fires, its address lies in the

@@ -9,8 +9,9 @@
     already licenses that rewrite; the exemption mirrors the legality
     engine's relative-verdict semantics), subscript-set disjointness,
     or same-iteration confinement in the spawned loop itself. {!Racy}
-    and {!Unknown} may be conservative; precision is benched, soundness
-    is regressed (test_race's qcheck differential).
+    and {!Unknown} may be conservative; precision shows in [table5]'s
+    gated column and [alchemist verify], soundness is regressed
+    (test_race's qcheck differential).
 
     Statuses persist as a profile file's [race] lines and feed
     [alchemist verify], advice demotion, the sanitizer cross-check,

@@ -25,11 +25,6 @@ let engine_to_string = function
   | Switch -> "switch"
   | Register -> "register"
 
-let engine_of_string = function
-  | "switch" -> Some Switch
-  | "register" -> Some Register
-  | _ -> None
-
 (* The reference switch loop, continuable from any machine state: one
    [match] per executed instruction, [hooked]/[trace_locals] tested at
    run time. Kept as the semantic baseline the register-IR backend

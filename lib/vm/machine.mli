@@ -48,7 +48,6 @@ type result = Vmstate.result = {
 type engine = Switch | Register
 
 val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
 
 val switch_resume :
   hooked:bool ->

@@ -291,3 +291,44 @@ for f in "$tmpdir"/cold-*.prof; do
   cmp "$f" "$(echo "$f" | sed 's|/cold-|/warm-|')"
 done
 echo "serve determinism: warm run all cache hits, profiles byte-identical"
+
+# Corrupted cache entry: a disk entry that no longer reads back as the
+# request's profile must be recomputed (a miss, not a disk hit), the
+# reply must save the direct profile's bytes, and the recomputed bytes
+# must replace the bad file.
+key=$(awk '$3 == "workload:par2:24" { sub(/^key=/, "", $4); print $4 }' \
+  "$tmpdir/warm.out")
+[ -n "$key" ] || { echo "no cache key for par2 in the warm run" >&2; exit 1; }
+printf 'garbage, not a profile' > "$tmpdir/cache/$key.prof"
+echo "workload:par2:24 save=$tmpdir/corrupt-par2.prof" \
+  | dune exec --no-build -- alchemist serve --cache-dir "$tmpdir/cache" \
+  > "$tmpdir/corrupt.out"
+grep -q ' miss ' "$tmpdir/corrupt.out" || {
+  echo "a corrupted cache entry was served" >&2
+  cat "$tmpdir/corrupt.out" >&2
+  exit 1
+}
+cmp "$tmpdir/corrupt-par2.prof" "$tmpdir/direct-par2.prof"
+cmp "$tmpdir/cache/$key.prof" "$tmpdir/direct-par2.prof"
+echo "serve cache: a corrupted entry is recomputed and rewritten"
+
+# Paper artifacts: every bench section but the bechamel microbenches,
+# run from a scratch directory. The bench only prints (fig6 also writes
+# figures/*.svg), so no BENCH_*.json may appear there. Table V's par2
+# row must show the legality-proven speedup and its race-gated
+# withdrawal.
+mkdir "$tmpdir/bench"
+bench="$(pwd)/_build/default/bench/main.exe"
+(cd "$tmpdir/bench" && "$bench" fig2 fig3 fig4 table3 fig6 table4 table5 \
+  baseline explore ablation > bench.out)
+if ls "$tmpdir/bench"/BENCH_*.json > /dev/null 2>&1; then
+  echo "the bench wrote a BENCH_*.json file" >&2
+  exit 1
+fi
+par2=$(awk '/^Table V/ { t5 = 1 } t5 && $1 == "par2" { print $7, $8; exit }' \
+  "$tmpdir/bench/bench.out")
+[ "$par2" = "2.16 1.05" ] || {
+  echo "table5 par2 proven/gated: got '$par2', expected '2.16 1.05'" >&2
+  exit 1
+}
+echo "bench: paper sections ran, no BENCH file written, table5 par2 2.16/1.05"

@@ -247,7 +247,10 @@ let test_random_profiles_sanitize () =
        arb_spec (fun s ->
          let prog = Vm.Compile.compile_source (source s) in
          let r = Alchemist.Profiler.run ~fuel:2_000_000 prog in
-         match Alchemist.Sanitize.check r.Alchemist.Profiler.profile with
+         match
+           Alchemist.Sanitize.check ~dep:(Static.Depend.analyze prog)
+             r.Alchemist.Profiler.profile
+         with
          | [] -> true
          | issue :: _ ->
              QCheck.Test.fail_reportf "sanitizer: %s in\n%s"

@@ -390,7 +390,8 @@ let test_seeded_corruption_trips_checker () =
   match Pio.read prog corrupted with
   | Error msg -> Alcotest.failf "corrupted file no longer parses: %s" msg
   | Ok bad ->
-      let issues = Alchemist.Sanitize.check bad in
+      let dep = Static.Depend.analyze prog in
+      let issues = Alchemist.Sanitize.check ~dep bad in
       Alcotest.(check bool) "sanitizer fires" true (issues <> []);
       Alcotest.(check bool) "mentions the distance bound" true
         (List.exists
@@ -399,7 +400,7 @@ let test_seeded_corruption_trips_checker () =
            issues);
       (* the pristine profile stays clean *)
       Alcotest.(check int) "clean profile has no issues" 0
-        (List.length (Alchemist.Sanitize.check p))
+        (List.length (Alchemist.Sanitize.check ~dep p))
 
 (* dist_src's SIV loop (a distance bound) plus a global reduction loop
    (legality verdicts): the one profile carries both sections. *)

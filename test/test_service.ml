@@ -1,7 +1,7 @@
-(* The registry service: cache-key canonicality (engine permutations
-   hit, any profile-determining option change misses), cold/warm/direct
-   byte-identity, the on-disk store, reply ordering, and the
-   static-facts reuse and validation paths. *)
+(* The registry service: cache-key canonicality (any
+   profile-determining option change misses), cold/warm/direct
+   byte-identity, the on-disk store and its corrupted entries, reply
+   ordering, and the static-facts reuse and validation paths. *)
 
 module Service = Driver.Service
 module Cache = Driver.Cache
@@ -82,37 +82,6 @@ let test_key_ignores_fingerprint_swap () =
   check Alcotest.bool "input changes key" false (k "a" "x" = k "a" "y");
   check Alcotest.bool "swap is not symmetric" false (k "a" "x" = k "x" "a")
 
-let test_engine_permutations_hit () =
-  (* the engine and prune knobs are proven not to change
-     profile bytes, so they share one cache line: first run computes,
-     every permutation afterwards hits *)
-  let prog = family_prog 0 in
-  with_service (fun svc ->
-      (* seed the cache first: inserts happen at harvest (on the control
-         thread), so in-flight duplicates within one batch all compute *)
-      Service.submit svc ~fuel ~spec:"seed" prog;
-      let seed =
-        match Service.drain svc with [ r ] -> r | _ -> Alcotest.fail "one reply"
-      in
-      Service.submit svc ~fuel ~engine:Vm.Machine.Switch ~spec:"switch" prog;
-      Service.submit svc ~fuel ~engine:Vm.Machine.Register ~spec:"register"
-        prog;
-      Service.submit svc ~fuel ~static_prune:false ~spec:"noprune" prog;
-      let rest = Service.drain svc in
-      check Alcotest.bool "first computes" true
-        (reply_outcome seed = Service.Computed);
-      check Alcotest.int "three permutations" 3 (List.length rest);
-      List.iter
-        (fun r ->
-          check Alcotest.bool
-            (r.Service.spec ^ " hits")
-            true
-            (reply_outcome r = Service.Hit);
-          check Alcotest.string
-            (r.Service.spec ^ " bytes identical")
-            (reply_bytes seed) (reply_bytes r))
-        rest)
-
 let test_option_changes_miss () =
   let prog = family_prog 0 in
   with_service (fun svc ->
@@ -134,6 +103,9 @@ let test_option_changes_miss () =
 
 (* --- byte identity -------------------------------------------------------- *)
 
+let direct_bytes prog =
+  Pio.to_string (Profiler.run ~fuel prog).Profiler.profile
+
 let test_cold_warm_direct_identity () =
   let progs = List.map family_prog [ 0; 1; 2; 3 ] in
   let cache = Cache.create () in
@@ -143,17 +115,26 @@ let test_cold_warm_direct_identity () =
           (fun i prog ->
             Service.submit svc ~fuel ~spec:(string_of_int i) prog)
           progs;
-        List.map reply_bytes (Service.drain svc))
+        Service.drain svc)
   in
   let cold = pass () in
   let warm = pass () in
-  let direct =
-    List.map
-      (fun prog -> Pio.to_string (Profiler.run ~fuel prog).Profiler.profile)
-      progs
-  in
-  check Alcotest.(list string) "warm bytes = cold bytes" cold warm;
-  check Alcotest.(list string) "cold bytes = direct profiler bytes" direct cold
+  (* a repeated request is answered from memory, byte for byte *)
+  List.iter
+    (fun r ->
+      check Alcotest.bool (r.Service.spec ^ " computes cold") true
+        (reply_outcome r = Service.Computed))
+    cold;
+  List.iter
+    (fun r ->
+      check Alcotest.bool (r.Service.spec ^ " hits warm") true
+        (reply_outcome r = Service.Hit))
+    warm;
+  check Alcotest.(list string) "warm bytes = cold bytes"
+    (List.map reply_bytes cold) (List.map reply_bytes warm);
+  check Alcotest.(list string) "cold bytes = direct profiler bytes"
+    (List.map direct_bytes progs)
+    (List.map reply_bytes cold)
 
 let test_facts_reuse_and_validation () =
   (* same code, different inputs: one analysis, shared facts — and the
@@ -234,6 +215,78 @@ let test_disk_store_survives_restart () =
                 (reply_bytes r)
           | _ -> Alcotest.fail "one reply expected"))
 
+(* A disk entry is untrusted input. Garbage, a truncated copy, a copy
+   under a header the reader refuses and a copy stripped of its static
+   block are each recomputed: a miss (never a disk hit), byte-equal to
+   a direct run, with the recomputed bytes replacing the file and none
+   of the bad bytes left in memory. *)
+let test_corrupt_disk_entry_recomputed () =
+  with_tmpdir (fun dir ->
+      let prog = family_prog 0 in
+      let direct = direct_bytes prog in
+      let key =
+        with_service ~cache:(Cache.create ~dir ()) (fun svc ->
+            Service.submit svc ~fuel ~spec:"cold" prog;
+            match Service.drain svc with
+            | [ { Service.result = Ok (_, key, _); _ } ] -> key
+            | _ -> Alcotest.fail "one ok reply expected")
+      in
+      let path = Filename.concat dir (key ^ ".prof") in
+      let write bytes =
+        let oc = open_out_bin path in
+        output_string oc bytes;
+        close_out oc
+      in
+      let read () =
+        let ic = open_in_bin path in
+        let s = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        s
+      in
+      let header_5 = "alchemist-profile 5\n" in
+      check Alcotest.bool "default profile has header 5" true
+        (String.starts_with ~prefix:header_5 direct);
+      let rest = String.sub direct 20 (String.length direct - 20) in
+      let no_static =
+        String.split_on_char '\n' rest
+        |> List.filter (fun l ->
+               not
+                 (List.exists
+                    (fun prefix -> String.starts_with ~prefix l)
+                    [ "verdict "; "distbound "; "legality "; "race " ]))
+        |> String.concat "\n"
+      in
+      List.iter
+        (fun (what, bad) ->
+          write bad;
+          let cache = Cache.create ~dir () in
+          with_service ~cache (fun svc ->
+              Service.submit svc ~fuel ~spec:what prog;
+              let first = Service.drain svc in
+              Service.submit svc ~fuel ~spec:what prog;
+              match first @ Service.drain svc with
+              | [ r; again ] ->
+                  check Alcotest.bool (what ^ ": recomputed") true
+                    (reply_outcome r = Service.Computed);
+                  check Alcotest.string (what ^ ": direct bytes") direct
+                    (reply_bytes r);
+                  check Alcotest.string (what ^ ": file rewritten") direct
+                    (read ());
+                  check Alcotest.bool (what ^ ": then a memory hit") true
+                    (reply_outcome again = Service.Hit);
+                  check Alcotest.string (what ^ ": memory holds good bytes")
+                    direct (reply_bytes again);
+                  check Alcotest.(option int) (what ^ ": one reject") (Some 1)
+                    (Obs.find_count (Cache.telemetry cache)
+                       "cache.disk_rejects")
+              | _ -> Alcotest.fail "two replies expected"))
+        [
+          ("garbage", "garbage, not a profile");
+          ("truncated", String.sub direct 0 (String.length direct / 2));
+          ("header 3", "alchemist-profile 3\n" ^ rest);
+          ("header 1", "alchemist-profile 1\n" ^ no_static);
+        ])
+
 (* --- request lines and ordering ------------------------------------------- *)
 
 let test_feed_ordering_and_errors () =
@@ -246,33 +299,38 @@ let test_feed_ordering_and_errors () =
       ignore (Service.feed svc "workload:stencil:64");
       ignore (Service.feed svc "workload:no-such-workload");
       ignore (Service.feed svc "workload:stencil:64 bogus_opt=1");
+      (* the engine, prune and ring keys are gone: bad requests *)
       ignore (Service.feed svc "workload:stencil:64 engine=quantum");
-      (* the retired threaded engine and ring switch are bad requests too *)
       ignore (Service.feed svc "workload:stencil:64 engine=threaded");
       ignore (Service.feed svc "workload:stencil:64 ring=false");
+      ignore (Service.feed svc "workload:stencil:64 prune=false");
       let replies = Service.drain svc in
       check Alcotest.(list int) "submission order preserved"
-        [ 1; 2; 3; 4; 5; 6 ]
+        [ 1; 2; 3; 4; 5; 6; 7 ]
         (List.map (fun (r : Service.reply) -> r.Service.seq) replies);
       let ok (r : Service.reply) = Result.is_ok r.Service.result in
       check Alcotest.(list bool) "errors exactly where submitted"
-        [ true; false; false; false; false; false ]
+        [ true; false; false; false; false; false; false ]
         (List.map ok replies);
       let error_of i =
         match (List.nth replies i).Service.result with
         | Error m -> m
         | Ok _ -> Alcotest.fail "expected an error reply"
       in
-      check Alcotest.string "threaded is an unknown engine"
-        "engine: unknown \"threaded\"" (error_of 4);
+      check Alcotest.string "engine is an unknown option"
+        "unknown option \"engine\"" (error_of 3);
+      check Alcotest.string "engine=threaded too" "unknown option \"engine\""
+        (error_of 4);
       check Alcotest.string "ring is an unknown option"
         "unknown option \"ring\"" (error_of 5);
+      check Alcotest.string "prune is an unknown option"
+        "unknown option \"prune\"" (error_of 6);
       (* a repeat in a later batch hits the cache (inserts happen at
          harvest, so the repeat must come after a drain) and agrees *)
       ignore (Service.feed svc "workload:stencil:64");
       match Service.drain svc with
       | [ b ] ->
-          check Alcotest.int "repeat seq" 7 b.Service.seq;
+          check Alcotest.int "repeat seq" 8 b.Service.seq;
           check Alcotest.string "bytes agree"
             (reply_bytes (List.nth replies 0))
             (reply_bytes b);
@@ -322,15 +380,18 @@ let test_ready_streams_prefix () =
 
 let test_lru_eviction () =
   let c = Cache.create ~capacity:2 () in
+  let find k =
+    Option.map fst (Cache.find_located c ~valid:(fun _ -> true) k)
+  in
   Cache.add c "k1" "a";
   Cache.add c "k2" "b";
-  ignore (Cache.find c "k1");
+  ignore (find "k1");
   (* k2 is now least recently used *)
   Cache.add c "k3" "c";
   check Alcotest.int "capacity respected" 2 (Cache.length c);
   check Alcotest.(option string) "recently-used survives" (Some "a")
-    (Cache.find c "k1");
-  check Alcotest.(option string) "LRU evicted" None (Cache.find c "k2");
+    (find "k1");
+  check Alcotest.(option string) "LRU evicted" None (find "k2");
   let snap = Cache.telemetry c in
   check Alcotest.(option int) "one eviction" (Some 1)
     (Obs.find_count snap "cache.evictions")
@@ -339,11 +400,11 @@ let suite =
   [
     ("cache key canonical (qcheck)", `Quick, test_key_canonical_qcheck);
     ("cache key fingerprints", `Quick, test_key_ignores_fingerprint_swap);
-    ("engine permutations hit", `Quick, test_engine_permutations_hit);
     ("option changes miss", `Quick, test_option_changes_miss);
     ("cold/warm/direct identity", `Quick, test_cold_warm_direct_identity);
     ("facts reuse and validation", `Quick, test_facts_reuse_and_validation);
     ("disk store survives restart", `Quick, test_disk_store_survives_restart);
+    ("corrupt disk entry recomputed", `Quick, test_corrupt_disk_entry_recomputed);
     ("feed ordering and errors", `Quick, test_feed_ordering_and_errors);
     ("bad workload scales refused", `Quick, test_bad_scale_refused);
     ("ready streams prefix", `Quick, test_ready_streams_prefix);

@@ -338,6 +338,31 @@ let test_prune_read_only_globals () =
   Alcotest.(check int) "stats.pruned_pcs" 2 r.Profiler.stats.Profiler.pruned_pcs;
   Alcotest.(check int) "stats.event_pcs" 4 r.Profiler.stats.Profiler.event_pcs
 
+(* On the registry the region rules alone prune nothing: every pcs the
+   mask skips is there because two accesses hit the same global array
+   at subscripts the distance engine proves never meet. This pins the
+   counts (pruned of event pcs) so that rule cannot silently stop
+   firing: stencil's carried-distance loops and 130.li's status cell at
+   its test scale. *)
+let test_distance_promotion_prunes_registry () =
+  let counts name scale =
+    let w = Workloads.Registry.find name in
+    let d = Depend.analyze (Workloads.Workload.compile w ~scale) in
+    (Depend.pruned_count d, Depend.event_count d)
+  in
+  let pair = Alcotest.(pair int int) in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let pruned, _ = counts w.name w.test_scale in
+      match w.name with
+      | "stencil" | "130.li" -> ()
+      | name -> Alcotest.(check int) (name ^ " prunes nothing") 0 pruned)
+    Workloads.Registry.all;
+  Alcotest.check pair "stencil at test scale" (2, 35) (counts "stencil" 512);
+  Alcotest.check pair "stencil at default scale" (2, 35) (counts "stencil" 8192);
+  Alcotest.check pair "130.li at test scale" (1, 39) (counts "130.li" 30);
+  Alcotest.check pair "130.li at default scale" (0, 39) (counts "130.li" 300)
+
 let test_construct_proven_independent () =
   let prog = compile prune_demo_src in
   let d = Depend.analyze prog in
@@ -546,13 +571,16 @@ let test_sanitizer_clean_on_workload () =
   let prog = Workloads.Workload.compile w ~scale:w.Workloads.Workload.test_scale in
   let r = Profiler.run ~fuel:200_000_000 prog in
   Alcotest.(check int) "no issues" 0
-    (List.length (Sanitize.check r.Profiler.profile))
+    (List.length
+       (Sanitize.check ~dep:(Depend.analyze prog) r.Profiler.profile))
 
 let test_sanitizer_flags_impossible_edge () =
   let prog = compile "int x; int y; int main() { x = 1; y = 2; return x + y; }" in
   let r = Profiler.run prog in
   let p = r.Profiler.profile in
-  Alcotest.(check int) "clean before seeding" 0 (List.length (Sanitize.check p));
+  let dep = Depend.analyze prog in
+  Alcotest.(check int) "clean before seeding" 0
+    (List.length (Sanitize.check ~dep p));
   (* Seed a RAW between two provably disjoint cells — the bug class the
      sanitizer exists for (e.g. a shadow-memory cell collision). *)
   Profile.record_edge p
@@ -560,7 +588,7 @@ let test_sanitizer_flags_impossible_edge () =
     ~head_pc:(store_global prog "x")
     ~tail_pc:(load_global prog "y") ~kind:Dep.Raw ~tdep:1
     ~addr:(fst (Option.get (Vm.Program.find_global prog "x")));
-  let issues = Sanitize.check p in
+  let issues = Sanitize.check ~dep p in
   Alcotest.(check bool) "seeded bug detected" true (issues <> []);
   Alcotest.(check bool) "explains impossibility" true
     (List.exists
@@ -593,7 +621,7 @@ let test_sanitizer_flags_misattributed_frame_edge () =
      cannot have completed): both violate frame ownership. *)
   seed (loop_cid prog 1);
   seed (cproc_of prog "main");
-  let issues = Sanitize.check p in
+  let issues = Sanitize.check ~dep:(Depend.analyze prog) p in
   Alcotest.(check bool) "wrong function flagged" true
     (List.exists
        (fun (i : Sanitize.issue) ->
@@ -611,6 +639,7 @@ let test_sanitizer_flags_corrupt_verdict_list () =
   in
   let r = Profiler.run prog in
   let p = r.Profiler.profile in
+  let dep = Depend.analyze prog in
   let s =
     match p.Profile.static with
     | Some s -> s
@@ -629,13 +658,13 @@ let test_sanitizer_flags_corrupt_verdict_list () =
   Alcotest.(check bool) "flipped verdict detected" true
     (List.exists
        (fun (i : Sanitize.issue) -> Testutil.contains i.reason "disagrees")
-       (Sanitize.check p));
+       (Sanitize.check ~dep p));
   (* And an empty verdict list under recorded edges = missing coverage. *)
   p.Profile.static <- Some { s with Profile.verdicts = [] };
   Alcotest.(check bool) "missing verdicts detected" true
     (List.exists
        (fun (i : Sanitize.issue) -> Testutil.contains i.reason "no stored verdict")
-       (Sanitize.check p))
+       (Sanitize.check ~dep p))
 
 let suite =
   [
@@ -651,6 +680,7 @@ let suite =
     ("dead function pruned", `Quick, test_dead_function_not_live);
     ("called once", `Quick, test_called_once);
     ("prune read-only globals", `Quick, test_prune_read_only_globals);
+    ("distance promotion prunes registry", `Quick, test_distance_promotion_prunes_registry);
     ("construct proven independent", `Quick, test_construct_proven_independent);
     ("rank/advice static column", `Quick, test_rank_and_advice_surface_static_proof);
     ("prune byte-identity registry", `Slow, test_prune_byte_identity_registry);
