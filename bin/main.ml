@@ -35,8 +35,10 @@ let warn_arg =
   Cmdliner.Arg.(
     value & flag
     & info [ "warn" ]
-        ~doc:"Print frontend lints (unused variables, dead stores) to \
-              stderr before running.")
+        ~doc:"Print frontend lints (unused variables, dead stores, \
+              loop-invariant subscripts, constant loop conditions, \
+              reduction accumulators escaping into calls, shared globals \
+              written in loops) to stderr before running.")
 
 let static_prune_arg =
   Cmdliner.Arg.(
@@ -741,11 +743,11 @@ let check_cmd =
         (fun m -> if not quiet then Printf.printf "%s: FAIL: %s\n" name m)
         fmt
     in
-    let analysis = Cfa.Analysis.analyze prog in
+    let facts = Alchemist.Profiler.prepare_facts prog in
     List.iter
       (fun m -> fail "cfa validation: %s" m)
-      (Cfa.Analysis.validate prog analysis);
-    let dep = Static.Depend.analyze ~analysis prog in
+      (Cfa.Analysis.validate prog (Alchemist.Profiler.facts_analysis facts));
+    let dep = Alchemist.Profiler.facts_dep facts in
     let sanitize what p =
       let found = Alchemist.Sanitize.check ~dep p in
       issues := !issues @ found;
@@ -779,11 +781,11 @@ let check_cmd =
         report_validated p
     | None ->
         let on =
-          (Alchemist.Profiler.run ~fuel ~static_prune:true prog)
+          (Alchemist.Profiler.run ~fuel ~facts ~static_prune:true prog)
             .Alchemist.Profiler.profile
         in
         let off =
-          (Alchemist.Profiler.run ~fuel ~static_prune:false prog)
+          (Alchemist.Profiler.run ~fuel ~facts ~static_prune:false prog)
             .Alchemist.Profiler.profile
         in
         let s_on = Alchemist.Profile_io.to_string on in

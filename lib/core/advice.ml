@@ -44,21 +44,15 @@ let is_const_reset (prog : Vm.Program.t) pc =
   | Vm.Instr.Const _, Vm.Instr.StoreGlobal _ -> true
   | _ -> false
 
-(* Reduction recognition: [v op= e] compiles to
+(* [pc] is the StoreGlobal of a reduction update of address [a]?
+   Reduction recognition: [v op= e] compiles to
    [LoadGlobal a; <e>; Binop op; StoreGlobal a] with an associative,
    commutative [op]. The window bounds how far back the load may be. *)
-let associative = function
-  | Minic.Ast.Add | Minic.Ast.Mul | Minic.Ast.BitAnd | Minic.Ast.BitOr
-  | Minic.Ast.BitXor ->
-      true
-  | _ -> false
-
-(* [pc] is the StoreGlobal of a reduction update of address [a]? *)
 let is_reduction_store (prog : Vm.Program.t) pc =
   match prog.code.(pc) with
   | Vm.Instr.StoreGlobal a when pc >= 2 -> (
       match prog.code.(pc - 1) with
-      | Vm.Instr.Binop op when associative op ->
+      | Vm.Instr.Binop op when Minic.Ast.assoc_commutative op ->
           let lo = max 0 (pc - 12) in
           let found = ref false in
           for j = lo to pc - 2 do

@@ -61,6 +61,9 @@ val facts_fingerprint : facts -> string
 (** The {!Profile_io.fingerprint} of the program the facts were prepared
     for — the content-address the service's fact cache is keyed by. *)
 
+val facts_analysis : facts -> Cfa.Analysis.t
+(** The control-flow analysis inside the facts. *)
+
 val facts_dep : facts -> Static.Depend.t
 (** The dependence analysis inside the facts, for sharing with
     {!Ranking.rank} and {!Advice.advise} ([~dep]) so a workflow that

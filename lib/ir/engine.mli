@@ -7,10 +7,12 @@
     tests compare against. Both produce the same results, metrics,
     traps and raw hook stream.
 
-    The register engine hands two kinds of run to the switch
+    The register engine hands three kinds of run to the switch
     interpreter: hooked runs that trace scalar locals (the -O0 model),
     whose per-local events the IR does not model, and programs whose
-    lowering bails (nonstandard bytecode the compiler never emits). *)
+    lowering bails or leaves some operand's tag unproven (nonstandard
+    bytecode the compiler never emits; the register engine keeps no
+    run-time tags). *)
 
 type clock = Ring.clock = {
   instr_range : lo:int -> hi:int -> unit;

@@ -15,9 +15,9 @@
    nearer trap) fires at exactly the reference pc with the reference
    event stream.
 
-   Tag bytes ([rtg]) are only maintained when the lowering could not
-   prove every tag ([wt]); in well-typed programs the whole tag plane
-   is dead code. *)
+   Registers carry no runtime tags: {!exec} runs a lowering here only
+   when it proves every operand's tag ([needs_tags] is false), and
+   hands any other program to the switch interpreter. *)
 
 open Instr
 module VS = Vm.Vmstate
@@ -43,7 +43,6 @@ type rdeopt = { rd_pc : int; rd_frame : rframe }
 type xstate = {
   st : VS.state;
   mutable regs : int array;
-  mutable rtg : Bytes.t;
   mutable rb : int;  (** current window base *)
   mutable rtop : int;  (** one past the current window *)
   mutable c_rb : int array;  (** per call depth: saved window base *)
@@ -72,8 +71,8 @@ let resolve_frame (al : Regalloc.alloc) ops tags flush =
           t);
   }
 
-(* Does any static tag come out unknown? If not, the runtime tag plane
-   is never read and all [rtg] maintenance is skipped. *)
+(* Does any static tag come out unknown? Such a lowering would need tags
+   tracked at run time, which this engine does not do. *)
 let needs_tags (lw : Lower.t) =
   let unk_s s = String.contains s ty_unk in
   let unk_fl = Array.exists (fun (_, _, t) -> t = ty_unk) in
@@ -173,7 +172,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
   in
   let allocs = Array.map (Regalloc.allocate lw) lw.funcs in
   let pre_alloc = Regalloc.identity 1 in
-  let wt = needs_tags lw in
   (match obs with
   | Some reg ->
       Obs.Gauge.set
@@ -187,7 +185,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
     {
       st;
       regs = Array.make 1024 0;
-      rtg = Bytes.make 1024 VS.tag_int;
       rb = 0;
       rtop = 1;
       c_rb = Array.make 64 0;
@@ -201,10 +198,7 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
       let nn = max need (2 * Array.length xs.regs) in
       let nr = Array.make nn 0 in
       Array.blit xs.regs 0 nr 0 (Array.length xs.regs);
-      xs.regs <- nr;
-      let nt = Bytes.make nn VS.tag_int in
-      Bytes.blit xs.rtg 0 nt 0 (Bytes.length xs.rtg);
-      xs.rtg <- nt
+      xs.regs <- nr
     end
   in
   let grow_crec () =
@@ -222,27 +216,20 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
     Array.blit xs.c_sus 0 s 0 n;
     xs.c_sus <- s
   in
-  let vtag tc ws =
-    if tc = ty_unk then Bytes.get xs.rtg ws
-    else if tc = ty_ref then VS.tag_ref
-    else VS.tag_int
-  in
+  let vtag tc = if tc = ty_ref then VS.tag_ref else VS.tag_int in
   let restore_frame wb fb (fr : rframe) =
     for k = 0 to Array.length fr.r_flush_mem - 1 do
       let addr = fb + fr.r_flush_mem.(k) in
       let ws = wb + fr.r_flush_slot.(k) in
       st.mem.(addr) <- xs.regs.(ws);
-      Bytes.set st.mem_tag addr (vtag fr.r_flush_tag.[k] ws)
+      Bytes.set st.mem_tag addr (vtag fr.r_flush_tag.[k])
     done;
     Array.iteri
       (fun i op ->
-        let tc = fr.r_tags.[i] in
+        let tg = vtag fr.r_tags.[i] in
         match op with
-        | RImm n ->
-            VS.push st n (if tc = ty_ref then VS.tag_ref else VS.tag_int)
-        | RSlot s' ->
-            let ws = wb + s' in
-            VS.push st xs.regs.(ws) (vtag tc ws)
+        | RImm n -> VS.push st n tg
+        | RSlot s' -> VS.push st xs.regs.(wb + s') tg
         | RRefL (off, len) -> VS.push st (VS.pack_ref (fb + off) len) VS.tag_ref)
       fr.r_ops
   in
@@ -278,104 +265,60 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           fun () -> Array.unsafe_get xs.regs (xs.rb + s)
       | RefL (off, len) -> fun () -> VS.pack_ref (st.frame_base + off) len
     in
-    let gettag (o : operand) tc : unit -> char =
-      if tc = ty_unk then
-        match o with
-        | Reg r ->
-            let s = slot r in
-            fun () -> Bytes.unsafe_get xs.rtg (xs.rb + s)
-        | Imm _ | RefL _ -> fun () -> VS.tag_int
-      else if tc = ty_ref then fun () -> VS.tag_ref
-      else fun () -> VS.tag_int
-    in
+    (* Tags are proven: an operand of the wrong one always traps. *)
     let chk_int (o : operand) tc : unit -> int =
-      if tc = ty_int then getv o
-      else if tc = ty_ref then fun () ->
+      if tc = ty_ref then fun () ->
         VS.trap st epc "expected integer, found array reference"
-      else
-        match o with
-        | Reg r ->
-            let s = slot r in
-            fun () ->
-              let i = xs.rb + s in
-              if Bytes.unsafe_get xs.rtg i <> VS.tag_int then
-                VS.trap st epc "expected integer, found array reference";
-              Array.unsafe_get xs.regs i
-        | Imm n -> fun () -> n
-        | RefL _ ->
-            fun () -> VS.trap st epc "expected integer, found array reference"
+      else getv o
     in
     let chk_ref (o : operand) tc : unit -> int =
-      if tc = ty_ref then getv o
-      else if tc = ty_int then fun () ->
+      if tc = ty_int then fun () ->
         VS.trap st epc "expected array reference, found integer"
-      else
-        match o with
-        | Reg r ->
-            let s = slot r in
-            fun () ->
-              let i = xs.rb + s in
-              if Bytes.unsafe_get xs.rtg i <> VS.tag_ref then
-                VS.trap st epc "expected array reference, found integer";
-              Array.unsafe_get xs.regs i
-        | Imm n -> fun () -> n
-        | RefL (off, len) -> fun () -> VS.pack_ref (st.frame_base + off) len
+      else getv o
     in
-    let setr ds v =
-      Array.unsafe_set xs.regs (xs.rb + ds) v;
-      if wt then Bytes.unsafe_set xs.rtg (xs.rb + ds) VS.tag_int
-    in
+    let setr ds v = Array.unsafe_set xs.regs (xs.rb + ds) v in
     (* canonicalization moves; coloring frequently assigns src and dst
        the same physical slot, making the move a no-op — elide it here
-       rather than paying two array stores per execution. With a runtime
-       tag plane a same-slot move still matters when its static ty pins
-       the tag to a constant (ty_unk would just copy the slot's own tag). *)
+       rather than paying two array stores per execution. *)
     let live_moves =
       Array.of_list
         (List.filter
            (fun m ->
              match m.m_src with
-             | Reg r when slot r = slot m.m_dst -> wt && m.m_ty <> ty_unk
-             | Imm _ | Reg _ | RefL _ -> true)
+             | Reg r -> slot r <> slot m.m_dst
+             | Imm _ | RefL _ -> true)
            (Array.to_list ins.moves))
     in
     let nm = Array.length live_moves in
     let mdst = Array.map (fun m -> slot m.m_dst) live_moves in
     let mget = Array.map (fun m -> getv m.m_src) live_moves in
-    let mtag = Array.map (fun m -> gettag m.m_src m.m_ty) live_moves in
     let apply_moves () =
       for k = 0 to nm - 1 do
-        let d = xs.rb + Array.unsafe_get mdst k in
-        Array.unsafe_set xs.regs d ((Array.unsafe_get mget k) ());
-        if wt then Bytes.unsafe_set xs.rtg d ((Array.unsafe_get mtag k) ())
+        Array.unsafe_set xs.regs
+          (xs.rb + Array.unsafe_get mdst k)
+          ((Array.unsafe_get mget k) ())
       done
     in
     if not (Instr.segmented ins) then
       (* pure: no pcs, no events, no fuel gate *)
       match ins.kind with
-      | Mov { dst; src; ty } -> (
+      | Mov { dst; src; _ } -> (
           let ds = slot dst in
           match src with
           | Imm n ->
-              let tg = if ty = ty_ref then VS.tag_ref else VS.tag_int in
               fun () ->
                 Array.unsafe_set xs.regs (xs.rb + ds) n;
-                if wt then Bytes.unsafe_set xs.rtg (xs.rb + ds) tg;
                 next
           | Reg r ->
               let ss = slot r in
               fun () ->
                 let g = xs.regs and b = xs.rb in
                 Array.unsafe_set g (b + ds) (Array.unsafe_get g (b + ss));
-                if wt then
-                  Bytes.unsafe_set xs.rtg (b + ds)
-                    (Bytes.unsafe_get xs.rtg (b + ss));
                 next
           | RefL (off, len) ->
               fun () ->
                 Array.unsafe_set xs.regs (xs.rb + ds)
                   (VS.pack_ref (st.frame_base + off) len);
-                if wt then Bytes.unsafe_set xs.rtg (xs.rb + ds) VS.tag_ref;
                 next)
       | Bin { dst; op; a; b; _ } -> (
           let ds = slot dst in
@@ -385,14 +328,12 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
               fun () ->
                 let g = xs.regs and rb0 = xs.rb in
                 Array.unsafe_set g (rb0 + ds) (Array.unsafe_get g (rb0 + sa) + n);
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | Minic.Ast.Sub, Reg ra, Imm n ->
               let sa = slot ra in
               fun () ->
                 let g = xs.regs and rb0 = xs.rb in
                 Array.unsafe_set g (rb0 + ds) (Array.unsafe_get g (rb0 + sa) - n);
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | Minic.Ast.Add, Reg ra, Reg rb' ->
               let sa = slot ra and sb = slot rb' in
@@ -400,7 +341,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                 let g = xs.regs and rb0 = xs.rb in
                 Array.unsafe_set g (rb0 + ds)
                   (Array.unsafe_get g (rb0 + sa) + Array.unsafe_get g (rb0 + sb));
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | _ ->
               let f = binfn op in
@@ -418,9 +358,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           let ds = slot dst in
           fun () ->
             Array.unsafe_set xs.regs (xs.rb + ds) (Array.unsafe_get st.mem addr);
-            if wt then
-              Bytes.unsafe_set xs.rtg (xs.rb + ds)
-                (Bytes.unsafe_get st.mem_tag addr);
             next
       | EndB ->
           fun () ->
@@ -503,16 +440,13 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                 st.instructions <- st.instructions + seg
       in
       match ins.kind with
-      | Mov { dst; src; ty } ->
+      | Mov { dst; src; _ } ->
           (* a [StoreLocal]: the L register is the store *)
           let ds = slot dst in
           let gv = getv src in
-          let tg = gettag src ty in
           fun () ->
             tick ();
-            let d = xs.rb + ds in
-            Array.unsafe_set xs.regs d (gv ());
-            if wt then Bytes.unsafe_set xs.rtg d (tg ());
+            Array.unsafe_set xs.regs (xs.rb + ds) (gv ());
             next
       | Bin { dst; op; a; b; ta; tb } -> (
           let ds = slot dst in
@@ -520,7 +454,7 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
              to a direct function and read the operands inline, instead
              of paying two operand-closure calls plus the [eval_binop]
              match on every execution. Trapping ops (Div/Mod/shifts) and
-             runtime-tagged operands keep the generic checked path. *)
+             reference operands keep the generic checked path. *)
           let fast : (int -> int -> int) option =
             if ta <> ty_int || tb <> ty_int then None
             else
@@ -547,7 +481,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                 let g = xs.regs and rb0 = xs.rb in
                 Array.unsafe_set g (rb0 + ds)
                   (f (Array.unsafe_get g (rb0 + sa)) n);
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | Some f, Reg ra, Reg rb' ->
               let sa = slot ra and sb = slot rb' in
@@ -558,7 +491,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                   (f
                      (Array.unsafe_get g (rb0 + sa))
                      (Array.unsafe_get g (rb0 + sb)));
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | Some f, Imm n, Reg rb' ->
               let sb = slot rb' in
@@ -567,7 +499,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                 let g = xs.regs and rb0 = xs.rb in
                 Array.unsafe_set g (rb0 + ds)
                   (f n (Array.unsafe_get g (rb0 + sb)));
-                if wt then Bytes.unsafe_set xs.rtg (rb0 + ds) VS.tag_int;
                 next
           | _ ->
               let gb = chk_int b tb in
@@ -591,18 +522,15 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             tick ();
             ev_read ~pc:epc ~addr;
             Array.unsafe_set xs.regs (xs.rb + ds) (Array.unsafe_get st.mem addr);
-            if wt then
-              Bytes.unsafe_set xs.rtg (xs.rb + ds)
-                (Bytes.unsafe_get st.mem_tag addr);
             next
       | StoreG { addr; v; tv; ev } ->
           let gv = getv v in
-          let tg = gettag v tv in
+          let tg = vtag tv in
           fun () ->
             tick ();
             if ev then ev_write ~pc:epc ~addr;
             Array.unsafe_set st.mem addr (gv ());
-            Bytes.unsafe_set st.mem_tag addr (tg ());
+            Bytes.unsafe_set st.mem_tag addr tg;
             next
       | LoadIx { dst; r; ix; tr; tix; ev } ->
           let ds = slot dst in
@@ -618,19 +546,15 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             let addr = base + ixv in
             if ev then ev_read ~pc:epc ~addr;
             Array.unsafe_set xs.regs (xs.rb + ds) (Array.unsafe_get st.mem addr);
-            if wt then
-              Bytes.unsafe_set xs.rtg (xs.rb + ds)
-                (Bytes.unsafe_get st.mem_tag addr);
             next
       | StoreIx { r; ix; v; tr; tix; tv; ev } ->
           let gv = getv v in
-          let tg = gettag v tv in
+          let tg = vtag tv in
           let gix = chk_int ix tix in
           let gr = chk_ref r tr in
           fun () ->
             tick ();
             let vv = gv () in
-            let vt = tg () in
             let ixv = gix () in
             let rv = gr () in
             let base = VS.ref_base rv and len = VS.ref_len rv in
@@ -639,7 +563,7 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             let addr = base + ixv in
             if ev then ev_write ~pc:epc ~addr;
             Array.unsafe_set st.mem addr vv;
-            Bytes.unsafe_set st.mem_tag addr vt;
+            Bytes.unsafe_set st.mem_tag addr tg;
             next
       | PrintI { v; tv } ->
           let gv = chk_int v tv in
@@ -670,9 +594,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           let centry = lw.entry_ir.(ci.ci_fid) in
           let nargs = Array.length ci.ci_args in
           let agets = Array.map getv ci.ci_args in
-          let atags =
-            Array.init nargs (fun i -> gettag ci.ci_args.(i) ci.ci_atags.[i])
-          in
           let aslots = Array.init nargs (fun i -> cal.map.(i)) in
           let sus = resolve_frame al ci.ci_resume ci.ci_rtags ci.ci_rflush in
           let dslot = slot ci.ci_dst in
@@ -708,31 +629,22 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             let wb = xs.rtop in
             ensure_regs (wb + wsize);
             Array.fill xs.regs wb wsize 0;
-            if wt then Bytes.fill xs.rtg wb wsize VS.tag_int;
             (* argument reads hit the caller window, writes the (disjoint)
                callee window — no buffering needed *)
             for i = 0 to nargs - 1 do
               xs.regs.(wb + Array.unsafe_get aslots i) <-
                 (Array.unsafe_get agets i) ()
             done;
-            if wt then
-              for i = 0 to nargs - 1 do
-                Bytes.unsafe_set xs.rtg
-                  (wb + Array.unsafe_get aslots i)
-                  ((Array.unsafe_get atags i) ())
-              done;
             xs.rb <- wb;
             xs.rtop <- wb + wsize;
             centry
-      | RetI { v; vt } ->
+      | RetI { v; _ } ->
           let gv = getv v in
-          let tg = gettag v vt in
           let myfid = fid in
           let fslots = lw.funcs.(fid).ff.frame_slots in
           fun () ->
             tick ();
             let value = gv () in
-            let vtag = if wt then tg () else VS.tag_int in
             st.depth <- st.depth - 1;
             let d = st.depth in
             if hooked then begin
@@ -746,7 +658,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             xs.rb <- Array.unsafe_get xs.c_rb d;
             let ds = xs.rb + Array.unsafe_get xs.c_dst d in
             Array.unsafe_set xs.regs ds value;
-            if wt then Bytes.unsafe_set xs.rtg ds vtag;
             Array.unsafe_get xs.c_ret_ir d
       | HaltI { v; tv } ->
           let gv = chk_int v tv in
@@ -774,10 +685,11 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
   VS.finish st exit_value
 
 (* The register engine runs every program the compiler produces, with
-   two exceptions that go to the reference switch interpreter instead:
+   three exceptions that go to the reference switch interpreter instead:
    runs that trace scalar locals (the -O0 model of the ablation bench),
    whose per-local events the IR does not model, and programs whose
-   lowering bails — nonstandard bytecode the compiler never emits. *)
+   lowering bails or leaves a tag unproven — nonstandard bytecode the
+   compiler never emits. *)
 let exec ~hooked ?(trace_locals = true) ?prune ?clock ?obs (hooks : Vm.Hooks.t)
     ?fuel ?max_depth (prog : Vm.Program.t) =
   let reference () =
@@ -793,6 +705,7 @@ let exec ~hooked ?(trace_locals = true) ?prune ?clock ?obs (hooks : Vm.Hooks.t)
     in
     match Lower.lower ~hooked ~pruned prog with
     | None -> reference ()
+    | Some lw when needs_tags lw -> reference ()
     | Some lw ->
         run_ir ~hooked ~trace_locals ?prune ?clock ?obs hooks ?fuel ?max_depth
           lw

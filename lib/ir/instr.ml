@@ -28,7 +28,8 @@
 
    Operand positions that the reference engine tag-checks carry the
    statically known tag of the value ([ty_int] elides the check,
-   [ty_ref] always traps, [ty_unk] consults the runtime tag). *)
+   [ty_ref] always traps; a lowering with any [ty_unk] runs on the
+   switch interpreter instead, see {!Exec.exec}). *)
 
 type operand =
   | Reg of int  (** virtual register *)

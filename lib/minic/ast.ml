@@ -69,6 +69,10 @@ type program = { globals : global list; funcs : func list }
 let global_name = function GScalar (n, _, _) | GArray (n, _, _) -> n
 let param_name = function PScalar n | PArray n -> n
 
+let assoc_commutative = function
+  | Add | Mul | BitAnd | BitOr | BitXor -> true
+  | _ -> false
+
 let unop_to_string = function Neg -> "-" | LogNot -> "!" | BitNot -> "~"
 
 let binop_to_string = function

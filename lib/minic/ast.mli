@@ -83,6 +83,9 @@ type program = { globals : global list; funcs : func list }
 val global_name : global -> string
 val param_name : param -> string
 
+val assoc_commutative : binop -> bool
+(** [+], [*], [&], [|], [^]: the operators a reduction may fold with. *)
+
 val pp_unop : Format.formatter -> unop -> unit
 val pp_binop : Format.formatter -> binop -> unit
 

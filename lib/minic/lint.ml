@@ -21,202 +21,27 @@ let mark_read scopes name =
 let mark_written scopes name =
   Option.iter (fun i -> i.written <- true) (resolve scopes name)
 
-let rec expr scopes (e : Ast.expr) =
-  match e.edesc with
-  | IntLit _ -> ()
-  | Var x -> mark_read scopes x
-  | Index (a, i) ->
-      mark_read scopes a;
-      expr scopes i
-  | Unop (_, e) -> expr scopes e
-  | Binop (_, a, b) ->
-      expr scopes a;
-      expr scopes b
-  | Call (_, args) ->
-      (* An array argument is passed by reference: the callee may read
-         or write through it, so a bare [Var] in an argument list counts
-         as both. The lint has no type information to tell arrays from
-         scalars here; the conservative reading avoids false "dead
-         store" reports (at the cost of missing some on scalars passed
-         to calls). *)
-      List.iter
-        (fun (a : Ast.expr) ->
-          (match a.Ast.edesc with Var x -> mark_written scopes x | _ -> ());
-          expr scopes a)
-        args
-
-let lvalue_write scopes = function
-  | Ast.LVar (x, _) -> mark_written scopes x
-  | Ast.LIndex (a, i, _) ->
-      (* An indexed write through a parameter lands in the caller's
-         array (arrays are passed by reference), so it is a real use —
-         unlike reassigning a scalar parameter, which stays invisible. *)
-      Option.iter
-        (fun info ->
-          info.written <- true;
-          if info.kind = Param then info.read <- true)
-        (resolve scopes a);
-      expr scopes i
-
-let lvalue_read scopes = function
-  | Ast.LVar (x, _) -> mark_read scopes x
-  | Ast.LIndex (a, i, _) ->
-      mark_read scopes a;
-      expr scopes i
-
-let rec stmt scopes acc (s : Ast.stmt) =
-  match s.sdesc with
-  | DeclScalar (x, init) ->
-      Option.iter (expr scopes) init;
-      let i =
-        {
-          name = x;
-          loc = s.sloc;
-          kind = Local;
-          read = false;
-          written = init <> None;
-        }
-      in
-      acc := i :: !acc;
-      (match scopes with
-      | top :: rest -> (i :: top) :: rest
-      | [] -> [ [ i ] ])
-  | DeclArray (x, _) ->
-      let i =
-        { name = x; loc = s.sloc; kind = Local; read = false; written = false }
-      in
-      acc := i :: !acc;
-      (match scopes with
-      | top :: rest -> (i :: top) :: rest
-      | [] -> [ [ i ] ])
-  | Assign (lv, e) ->
-      expr scopes e;
-      lvalue_write scopes lv;
-      scopes
-  | OpAssign (_, lv, e) ->
-      (* [x += e] reads the old value and writes the new one. *)
-      expr scopes e;
-      lvalue_read scopes lv;
-      lvalue_write scopes lv;
-      scopes
-  | If (c, t, f) ->
-      expr scopes c;
-      ignore (stmt ([] :: scopes) acc t);
-      Option.iter (fun f -> ignore (stmt ([] :: scopes) acc f)) f;
-      scopes
-  | While (c, b) ->
-      expr scopes c;
-      ignore (stmt ([] :: scopes) acc b);
-      scopes
-  | DoWhile (b, c) ->
-      ignore (stmt ([] :: scopes) acc b);
-      expr scopes c;
-      scopes
-  | For (init, cond, update, body) ->
-      (* The induction variable declared in [init] scopes over the whole
-         statement, so thread the extended scope through all four parts. *)
-      let inner = [] :: scopes in
-      let inner = match init with Some s -> stmt inner acc s | None -> inner in
-      Option.iter (expr inner) cond;
-      ignore (stmt ([] :: inner) acc body);
-      (match update with Some s -> ignore (stmt inner acc s) | None -> ());
-      scopes
-  | Break | Continue -> scopes
-  | Return e ->
-      Option.iter (expr scopes) e;
-      scopes
-  | ExprStmt e | Print e ->
-      expr scopes e;
-      scopes
-  | Block body ->
-      ignore (List.fold_left (fun sc s -> stmt sc acc s) ([] :: scopes) body);
-      scopes
-
 (* --- loop-shape lints ------------------------------------------------
 
-   Two lints over loop bodies, both "this loop does redundant work every
-   iteration" shapes the dependence profiler later pays for event by
-   event:
+   Four "this loop does redundant or unparallelizable work" shapes the
+   dependence profiler later pays for event by event:
 
    - a subscript expression whose variables are all unmodified inside
      the loop computes the same address every iteration — the load (or
      the address computation) is hoistable;
    - a loop condition mentioning no variable, array cell or call at all
      is decided at compile time (an [if] or an infinite loop in
-     disguise).
+     disguise);
+   - a reduction-shaped accumulate whose accumulator the same loop also
+     passes to a call: the callee sees partial sums, which blocks the
+     per-thread reduction rewrite;
+   - a global scalar the loop writes that is neither privatizable
+     (written before any read in the iteration) nor a reduction.
 
-   Both are proofs, not heuristics: a warning only fires when invariance
-   or constness holds on every execution. Calls make globals unprovable
-   — any callee may write them — so a loop containing a call disqualifies
-   global variables from the invariance argument. *)
-
-(* Scalar names (re)assigned per iteration of a loop body: assignment
-   targets and declarations (a [DeclScalar] re-initializes on every
-   iteration). Indexed writes mutate elements, never the index-value of
-   a name, so they add nothing here. *)
-let rec assigned_names (s : Ast.stmt) acc =
-  match s.sdesc with
-  | Ast.DeclScalar (x, _) -> x :: acc
-  | Ast.DeclArray _ | Ast.Break | Ast.Continue | Ast.Return _ | Ast.ExprStmt _
-  | Ast.Print _ ->
-      acc
-  | Ast.Assign (lv, _) | Ast.OpAssign (_, lv, _) -> (
-      match lv with Ast.LVar (x, _) -> x :: acc | Ast.LIndex _ -> acc)
-  | Ast.If (_, t, f) ->
-      assigned_names t
-        (match f with Some f -> assigned_names f acc | None -> acc)
-  | Ast.While (_, b) | Ast.DoWhile (b, _) -> assigned_names b acc
-  | Ast.For (init, _, update, b) ->
-      let acc = match init with Some s -> assigned_names s acc | None -> acc in
-      let acc =
-        match update with Some s -> assigned_names s acc | None -> acc
-      in
-      assigned_names b acc
-  | Ast.Block body -> List.fold_left (fun acc s -> assigned_names s acc) acc body
-
-let rec expr_has_call (e : Ast.expr) =
-  match e.edesc with
-  | Ast.Call _ -> true
-  | Ast.IntLit _ | Ast.Var _ -> false
-  | Ast.Index (_, i) | Ast.Unop (_, i) -> expr_has_call i
-  | Ast.Binop (_, a, b) -> expr_has_call a || expr_has_call b
-
-let rec stmt_has_call (s : Ast.stmt) =
-  match s.sdesc with
-  | Ast.DeclScalar (_, init) -> Option.fold ~none:false ~some:expr_has_call init
-  | Ast.DeclArray _ | Ast.Break | Ast.Continue -> false
-  | Ast.Assign (lv, e) | Ast.OpAssign (_, lv, e) ->
-      expr_has_call e
-      || (match lv with
-         | Ast.LVar _ -> false
-         | Ast.LIndex (_, i, _) -> expr_has_call i)
-  | Ast.If (c, t, f) ->
-      expr_has_call c || stmt_has_call t
-      || Option.fold ~none:false ~some:stmt_has_call f
-  | Ast.While (c, b) | Ast.DoWhile (b, c) -> expr_has_call c || stmt_has_call b
-  | Ast.For (init, cond, update, b) ->
-      Option.fold ~none:false ~some:stmt_has_call init
-      || Option.fold ~none:false ~some:expr_has_call cond
-      || Option.fold ~none:false ~some:stmt_has_call update
-      || stmt_has_call b
-  | Ast.Return e -> Option.fold ~none:false ~some:expr_has_call e
-  | Ast.ExprStmt e | Ast.Print e -> expr_has_call e
-  | Ast.Block body -> List.exists stmt_has_call body
-
-(* --- reduction-escape lint -------------------------------------------
-
-   A statement of shape [x = x op e] / [x op= e] with an associative-
-   commutative [op] inside a loop is a reduction: the transform-legality
-   engine can rewrite it as per-thread partials combined at the join.
-   That proof requires the accumulator's cell be touched {e only} by the
-   accumulate itself — passing [x] to a call inside the same loop hands
-   the callee a way to read a partial sum (or clobber it), so the
-   rewrite is off the table. The lint flags exactly that shape: the
-   programmer wrote a reduction, then leaked the accumulator. *)
-
-let assoc_commutative_op = function
-  | Ast.Add | Ast.Mul | Ast.BitAnd | Ast.BitOr | Ast.BitXor -> true
-  | _ -> false
+   All are proofs, not heuristics: a warning only fires when the shape
+   holds on every execution. Calls make globals unprovable — any callee
+   may write them — so a loop containing a call disqualifies global
+   variables from the invariance argument. *)
 
 let rec expr_mentions x (e : Ast.expr) =
   match e.edesc with
@@ -233,398 +58,341 @@ let rec expr_mentions x (e : Ast.expr) =
 let reduction_shape (s : Ast.stmt) =
   match s.sdesc with
   | Ast.OpAssign (op, Ast.LVar (x, _), e)
-    when assoc_commutative_op op && not (expr_mentions x e) ->
+    when Ast.assoc_commutative op && not (expr_mentions x e) ->
       Some (x, op)
   | Ast.Assign (Ast.LVar (x, _), { edesc = Ast.Binop (op, a, b); _ })
-    when assoc_commutative_op op -> (
+    when Ast.assoc_commutative op -> (
       match (a.Ast.edesc, b.Ast.edesc) with
       | Ast.Var y, _ when y = x && not (expr_mentions x b) -> Some (x, op)
       | _, Ast.Var y when y = x && not (expr_mentions x a) -> Some (x, op)
       | _ -> None)
   | _ -> None
 
-(* Reduction-shaped accumulates in the loop's {e direct} region — a
-   nested loop runs its own scan, so stopping at it avoids duplicate
-   warnings while its calls still count as escapes for this loop. *)
-let rec direct_accums (s : Ast.stmt) acc =
-  match s.sdesc with
-  | Ast.While _ | Ast.DoWhile _ | Ast.For _ -> acc
-  | Ast.If (_, t, f) ->
-      direct_accums t
-        (match f with Some f -> direct_accums f acc | None -> acc)
-  | Ast.Block body -> List.fold_left (fun acc s -> direct_accums s acc) acc body
-  | _ -> (
-      match reduction_shape s with
-      | Some (x, op) -> (x, op, s.sloc) :: acc
-      | None -> acc)
-
-(* Callees receiving [x] as a bare argument (the by-reference escape the
-   usage lint also assumes conservatively). *)
-let rec calls_passing x (e : Ast.expr) acc =
+(* No variable, array cell or call: the condition's value is fixed. *)
+let rec const_cond (e : Ast.expr) =
   match e.edesc with
-  | Ast.IntLit _ | Ast.Var _ -> acc
-  | Ast.Index (_, i) | Ast.Unop (_, i) -> calls_passing x i acc
-  | Ast.Binop (_, a, b) -> calls_passing x a (calls_passing x b acc)
-  | Ast.Call (f, args) ->
-      let acc =
-        if
-          List.exists
-            (fun (a : Ast.expr) ->
-              match a.Ast.edesc with Ast.Var y -> y = x | _ -> false)
-            args
-        then f :: acc
-        else acc
-      in
-      List.fold_left (fun acc a -> calls_passing x a acc) acc args
+  | Ast.IntLit _ -> true
+  | Ast.Var _ | Ast.Index _ | Ast.Call _ -> false
+  | Ast.Unop (_, a) -> const_cond a
+  | Ast.Binop (_, a, b) -> const_cond a && const_cond b
 
-let rec stmt_calls_passing x (s : Ast.stmt) acc =
-  match s.sdesc with
-  | Ast.DeclScalar (_, init) ->
-      Option.fold ~none:acc ~some:(fun e -> calls_passing x e acc) init
-  | Ast.DeclArray _ | Ast.Break | Ast.Continue -> acc
-  | Ast.Assign (lv, e) | Ast.OpAssign (_, lv, e) ->
-      let acc = calls_passing x e acc in
-      (match lv with
-      | Ast.LVar _ -> acc
-      | Ast.LIndex (_, i, _) -> calls_passing x i acc)
-  | Ast.If (c, t, f) ->
-      let acc = calls_passing x c acc in
-      let acc = stmt_calls_passing x t acc in
-      Option.fold ~none:acc ~some:(fun f -> stmt_calls_passing x f acc) f
-  | Ast.While (c, b) | Ast.DoWhile (b, c) ->
-      stmt_calls_passing x b (calls_passing x c acc)
-  | Ast.For (init, cond, update, b) ->
-      let acc =
-        Option.fold ~none:acc ~some:(fun s -> stmt_calls_passing x s acc) init
-      in
-      let acc =
-        Option.fold ~none:acc ~some:(fun e -> calls_passing x e acc) cond
-      in
-      let acc =
-        Option.fold ~none:acc ~some:(fun s -> stmt_calls_passing x s acc) update
-      in
-      stmt_calls_passing x b acc
-  | Ast.Return e ->
-      Option.fold ~none:acc ~some:(fun e -> calls_passing x e acc) e
-  | Ast.ExprStmt e | Ast.Print e -> calls_passing x e acc
-  | Ast.Block body ->
-      List.fold_left (fun acc s -> stmt_calls_passing x s acc) acc body
+type access = Read | Write
 
-(* The innermost loop an expression sits in, as seen by the walk. *)
-type loop_ctx = {
-  assigned : string list;  (** scalar names written per iteration *)
-  has_call : bool;  (** any call anywhere in the loop *)
+(* What one loop's lints need, collected while the walk is inside the
+   loop and decided when it leaves. A loop covers its condition, body
+   and [for] update; its {e direct region} is that minus the nested
+   loops, which judge their own accumulates and shared writes. *)
+type loop = {
+  cond : Ast.expr option;
+  mutable assigned : string list;
+      (** scalar names (re)assigned per iteration: assignment targets
+          and declarations (a [DeclScalar] re-initializes every
+          iteration); nested loops' included *)
+  mutable has_call : bool;  (** any call in the loop, nested loops' too *)
+  mutable subscripts : (string * Ast.expr) list;
+      (** subscripts whose innermost loop this is, judged at loop exit *)
+  mutable passed : (string * string) list;
+      (** (x, f): callee [f] receives [x] as a bare argument (the
+          by-reference escape the usage lint also assumes); nested
+          loops' included *)
+  mutable accums : (string * Ast.binop * Srcloc.t) list;
+      (** reduction-shaped accumulates of the direct region *)
+  mutable first : (string * access) list;
+      (** global scalar -> its first counted access in the direct
+          region; a write under an [if] does not count *)
+  mutable wrote : (string * Srcloc.t) list;
+      (** global scalar -> its first write in the direct region *)
 }
 
-let loop_lints (p : Ast.program) =
-  let globals =
-    List.map
-      (function Ast.GScalar (n, _, _) | Ast.GArray (n, _, _) -> n)
-      p.globals
-  in
-  let scalar_globals =
-    List.filter_map
-      (function Ast.GScalar (n, _, _) -> Some n | Ast.GArray _ -> None)
-      p.globals
-  in
-  let warnings = ref [] in
-  let warn loc fmt = Printf.ksprintf (fun m ->
-      warnings := Diag.warning loc "%s" m :: !warnings) fmt
-  in
+type env = {
+  scopes : info list list;
+  loops : loop list;  (** enclosing loops, innermost first *)
+  region : loop option;
+      (** the loop whose direct region the walk is in: the innermost
+          one, except in a [for] init, which runs once before its loop
+          and so belongs to no loop's region *)
+  guarded : bool;  (** under an [if] within that region *)
+  globals : string list;
+  scalars : string list;  (** the scalar globals *)
+  infos : info list ref;  (** every declaration, newest first *)
+  warnings : Diag.warning list ref;  (** the loop-shape warnings *)
+}
+
+let warn env loc fmt =
+  Printf.ksprintf
+    (fun m -> env.warnings := Diag.warning loc "%s" m :: !(env.warnings))
+    fmt
+
+let in_loop env f = match env.loops with l :: _ -> f l | [] -> ()
+
+let declare env ?(written = false) kind name loc =
+  let i = { name; loc; kind; read = false; written } in
+  env.infos := i :: !(env.infos);
+  i
+
+let bind scopes i =
+  match scopes with top :: rest -> (i :: top) :: rest | [] -> [ [ i ] ]
+
+(* Accesses to global scalars in the direct region, for the shared-write
+   lint. *)
+let see_read env x =
+  match env.region with
+  | Some l when List.mem x env.scalars && not (List.mem_assoc x l.first) ->
+      l.first <- (x, Read) :: l.first
+  | _ -> ()
+
+let see_write env x loc =
+  match env.region with
+  | Some l when List.mem x env.scalars ->
+      if not (List.mem_assoc x l.wrote) then l.wrote <- (x, loc) :: l.wrote;
+      if not (env.guarded || List.mem_assoc x l.first) then
+        l.first <- (x, Write) :: l.first
+  | _ -> ()
+
+let rec expr env (e : Ast.expr) =
+  match e.edesc with
+  | IntLit _ -> ()
+  | Var x ->
+      mark_read env.scopes x;
+      see_read env x
+  | Index (a, i) ->
+      mark_read env.scopes a;
+      in_loop env (fun l -> l.subscripts <- (a, i) :: l.subscripts);
+      expr env i
+  | Unop (_, e) -> expr env e
+  | Binop (_, a, b) ->
+      expr env a;
+      expr env b
+  | Call (f, args) ->
+      in_loop env (fun l -> l.has_call <- true);
+      (* An array argument is passed by reference: the callee may read
+         or write through it, so a bare [Var] in an argument list counts
+         as both. The lint has no type information to tell arrays from
+         scalars here; the conservative reading avoids false "dead
+         store" reports (at the cost of missing some on scalars passed
+         to calls). *)
+      List.iter
+        (fun (a : Ast.expr) ->
+          (match a.Ast.edesc with
+          | Var x ->
+              mark_written env.scopes x;
+              in_loop env (fun l -> l.passed <- (x, f) :: l.passed)
+          | _ -> ());
+          expr env a)
+        args
+
+(* [lv = e], or [lv op= e] when [update] (which reads the old value). *)
+let assign env (s : Ast.stmt) ~update lv e =
+  expr env e;
+  (match lv with
+  | Ast.LVar (x, _) ->
+      if update then begin
+        mark_read env.scopes x;
+        see_read env x
+      end;
+      mark_written env.scopes x;
+      in_loop env (fun l -> l.assigned <- x :: l.assigned);
+      see_write env x s.sloc
+  | Ast.LIndex (a, i, _) ->
+      (* An indexed write through a parameter lands in the caller's
+         array (arrays are passed by reference), so it is a real use —
+         unlike reassigning a scalar parameter, which stays invisible. *)
+      Option.iter
+        (fun info ->
+          info.written <- true;
+          if update || info.kind = Param then info.read <- true)
+        (resolve env.scopes a);
+      in_loop env (fun l -> l.subscripts <- (a, i) :: l.subscripts);
+      expr env i);
+  match (reduction_shape s, env.region) with
+  | Some (x, op), Some l -> l.accums <- (x, op, s.sloc) :: l.accums
+  | _ -> ()
+
+let leave env l =
   (* [Some vars] when every variable the subscript reads is provably
      unchanged across iterations; [None] when anything blocks the proof
      (a call, an array cell, or an assigned/unprovable variable). *)
-  let rec invariant_vars ctx (e : Ast.expr) =
+  let rec invariant_vars (e : Ast.expr) =
     match e.edesc with
     | Ast.IntLit _ -> Some []
     | Ast.Var x ->
-        if List.mem x ctx.assigned then None
-        else if ctx.has_call && List.mem x globals then None
+        if List.mem x l.assigned then None
+        else if l.has_call && List.mem x env.globals then None
         else Some [ x ]
     | Ast.Index _ | Ast.Call _ -> None
-    | Ast.Unop (_, a) -> invariant_vars ctx a
+    | Ast.Unop (_, a) -> invariant_vars a
     | Ast.Binop (_, a, b) -> (
-        match (invariant_vars ctx a, invariant_vars ctx b) with
+        match (invariant_vars a, invariant_vars b) with
         | Some va, Some vb -> Some (va @ vb)
         | _ -> None)
   in
-  let check_subscript ctx name (i : Ast.expr) =
-    match invariant_vars ctx i with
-    | Some (_ :: _ as vars) ->
-        warn i.eloc
-          "loop-invariant subscript of '%s' (%s never change%s in the loop)"
-          name
-          (String.concat ", " (List.sort_uniq compare vars))
-          (if List.length (List.sort_uniq compare vars) = 1 then "s" else "")
-    | _ -> ()
-  in
-  let rec check_expr ctx (e : Ast.expr) =
-    match e.edesc with
-    | Ast.IntLit _ | Ast.Var _ -> ()
-    | Ast.Index (a, i) ->
-        Option.iter (fun ctx -> check_subscript ctx a i) ctx;
-        check_expr ctx i
-    | Ast.Unop (_, a) -> check_expr ctx a
-    | Ast.Binop (_, a, b) ->
-        check_expr ctx a;
-        check_expr ctx b
-    | Ast.Call (_, args) -> List.iter (check_expr ctx) args
-  in
-  let check_lvalue ctx = function
-    | Ast.LVar _ -> ()
-    | Ast.LIndex (a, i, _) ->
-        Option.iter (fun c -> check_subscript c a i) ctx;
-        check_expr ctx i
-  in
-  (* No variable, array cell or call: the condition's value is fixed. *)
-  let rec const_cond (e : Ast.expr) =
-    match e.edesc with
-    | Ast.IntLit _ -> true
-    | Ast.Var _ | Ast.Index _ | Ast.Call _ -> false
-    | Ast.Unop (_, a) -> const_cond a
-    | Ast.Binop (_, a, b) -> const_cond a && const_cond b
-  in
-  let check_cond (c : Ast.expr) =
-    if const_cond c then warn c.eloc "loop condition is provably constant"
-  in
-  let enter_loop parts_assigned parts_call =
-    {
-      assigned = List.concat parts_assigned;
-      has_call = List.exists (fun b -> b) parts_call;
-    }
-  in
-  (* One loop's reduction-escape scan: [stmts] are the loop's direct
-     statements (body, plus a [for]'s update), [cond_exprs] its
-     condition. *)
-  let check_reduction_escape cond_exprs stmts =
-    let accums =
-      List.rev (List.fold_left (fun acc s -> direct_accums s acc) [] stmts)
+  List.iter
+    (fun (name, (i : Ast.expr)) ->
+      match invariant_vars i with
+      | Some (_ :: _ as vars) ->
+          let vars = List.sort_uniq compare vars in
+          warn env i.eloc
+            "loop-invariant subscript of '%s' (%s never change%s in the loop)"
+            name (String.concat ", " vars)
+            (if List.length vars = 1 then "s" else "")
+      | _ -> ())
+    l.subscripts;
+  List.iter
+    (fun (x, op, loc) ->
       (* a variable the loop condition reads drives the trip count — an
          induction/control variable ([i++] under [i < n]), never a
          reduction accumulator *)
-      |> List.filter (fun (x, _, _) ->
-             not (List.exists (expr_mentions x) cond_exprs))
-    in
-    List.iter
-      (fun (x, op, loc) ->
-        let callees =
-          List.fold_left (fun acc s -> stmt_calls_passing x s acc) [] stmts
-        in
-        let callees =
-          List.fold_left (fun acc e -> calls_passing x e acc) callees cond_exprs
-        in
-        match List.sort_uniq compare callees with
+      if not (Option.fold ~none:false ~some:(expr_mentions x) l.cond) then
+        match
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (y, f) -> if y = x then Some f else None)
+               l.passed)
+        with
         | [] -> ()
         | f :: _ ->
-            warn loc
+            warn env loc
               "reduction-shaped accumulator '%s' ('%s' shape) escapes via \
                call to '%s' (blocks the per-thread reduction rewrite)"
-              x
-              (Ast.binop_to_string op)
-              f)
-      accums
-  in
-  (* --- shared-write lint ---------------------------------------------
-
-     A loop that writes a global scalar is a race candidate the moment
-     its iterations are spawned: the write lands in memory every other
-     iteration shares. Two shapes survive the spawn — an iteration that
-     writes the cell before any read of it (privatizable: each thread
-     gets its own copy) and a reduction-shaped accumulate (rewritten as
-     per-thread partials). Anything else — a read of another iteration's
-     value before the write, or a write only some iterations perform —
-     defeats both transforms, so flag it at the line that wrote it.
-     Innermost judgement, as with the invariance lint: a nested loop's
-     writes are judged by its own scan, not the enclosing one's. *)
-  let check_shared_writes cond_exprs stmts =
-    let first = Hashtbl.create 4 in
-    (* name -> `Write | `Read: the first counted access *)
-    let wrote = Hashtbl.create 4 in
-    (* name -> loc of the first non-reduction write *)
-    let accum = Hashtbl.create 4 in
-    let is_global x = List.mem x scalar_globals in
-    let see_read x =
-      if is_global x && not (Hashtbl.mem first x) then
-        Hashtbl.replace first x `Read
-    in
-    let see_write ~cond x loc =
-      if is_global x then begin
-        if not (Hashtbl.mem wrote x) then Hashtbl.replace wrote x loc;
-        if (not cond) && not (Hashtbl.mem first x) then
-          Hashtbl.replace first x `Write
-      end
-    in
-    let rec expr_reads (e : Ast.expr) =
-      match e.edesc with
-      | Ast.IntLit _ -> ()
-      | Ast.Var x -> see_read x
-      | Ast.Index (_, i) -> expr_reads i
-      | Ast.Unop (_, a) -> expr_reads a
-      | Ast.Binop (_, a, b) ->
-          expr_reads a;
-          expr_reads b
-      | Ast.Call (_, args) -> List.iter expr_reads args
-    in
-    let rec walk ~cond (s : Ast.stmt) =
-      match reduction_shape s with
-      | Some (x, _) when is_global x ->
-          (* the licensed accumulate: its own read/write do not count,
-             but the folded expression may read other globals *)
-          Hashtbl.replace accum x ();
-          (match s.sdesc with
-          | Ast.Assign (_, e) | Ast.OpAssign (_, _, e) -> expr_reads e
-          | _ -> ())
-      | _ -> (
-          match s.sdesc with
-          | Ast.DeclScalar (_, init) -> Option.iter expr_reads init
-          | Ast.DeclArray _ | Ast.Break | Ast.Continue -> ()
-          (* a nested loop's writes belong to its own scan *)
-          | Ast.While _ | Ast.DoWhile _ | Ast.For _ -> ()
-          | Ast.Assign (lv, e) -> (
-              expr_reads e;
-              match lv with
-              | Ast.LVar (x, _) -> see_write ~cond x s.sloc
-              | Ast.LIndex (_, i, _) -> expr_reads i)
-          | Ast.OpAssign (_, lv, e) -> (
-              expr_reads e;
-              match lv with
-              | Ast.LVar (x, _) ->
-                  see_read x;
-                  see_write ~cond x s.sloc
-              | Ast.LIndex (_, i, _) -> expr_reads i)
-          | Ast.If (c, t, f) ->
-              expr_reads c;
-              walk ~cond:true t;
-              Option.iter (walk ~cond:true) f
-          | Ast.Return e -> Option.iter expr_reads e
-          | Ast.ExprStmt e | Ast.Print e -> expr_reads e
-          | Ast.Block body -> List.iter (walk ~cond) body)
-    in
-    (* the loop condition's reads precede (the next) iteration's body,
-       so they count as reads of another iteration's value *)
-    List.iter expr_reads cond_exprs;
-    List.iter (walk ~cond:false) stmts;
-    Hashtbl.iter
-      (fun x loc ->
-        if not (Hashtbl.mem accum x) then
-          let reason =
-            match Hashtbl.find_opt first x with
-            | Some `Write -> None (* write-first: the privatizable shape *)
-            | Some `Read -> Some "an iteration reads it before writing"
-            | None -> Some "only some iterations write it"
-          in
-          Option.iter
-            (fun reason ->
-              warn loc
-                "shared global '%s' written in a loop is neither privatizable \
-                 nor a reduction (%s) — spawned iterations would race on it"
-                x reason)
-            reason)
-      wrote
-  in
-  let rec check_stmt ctx (s : Ast.stmt) =
-    match s.sdesc with
-    | Ast.DeclScalar (_, init) -> Option.iter (check_expr ctx) init
-    | Ast.DeclArray _ | Ast.Break | Ast.Continue -> ()
-    | Ast.Assign (lv, e) | Ast.OpAssign (_, lv, e) ->
-        check_expr ctx e;
-        check_lvalue ctx lv
-    | Ast.If (c, t, f) ->
-        check_expr ctx c;
-        check_stmt ctx t;
-        Option.iter (check_stmt ctx) f
-    | Ast.While (c, b) ->
-        check_cond c;
-        let inner =
-          enter_loop [ assigned_names b [] ] [ expr_has_call c; stmt_has_call b ]
-        in
-        check_expr (Some inner) c;
-        check_stmt (Some inner) b;
-        check_reduction_escape [ c ] [ b ];
-        check_shared_writes [ c ] [ b ]
-    | Ast.DoWhile (b, c) ->
-        check_cond c;
-        let inner =
-          enter_loop [ assigned_names b [] ] [ expr_has_call c; stmt_has_call b ]
-        in
-        check_stmt (Some inner) b;
-        check_expr (Some inner) c;
-        check_reduction_escape [ c ] [ b ];
-        check_shared_writes [ c ] [ b ]
-    | Ast.For (init, cond, update, b) ->
-        (* [init] runs once: it is checked against the {e enclosing}
-           context, and its assignments do not make a variable
-           loop-variant. A [for] with no condition never warns (there is
-           nothing to be constant). *)
-        Option.iter (check_stmt ctx) init;
-        Option.iter check_cond cond;
-        let inner =
-          enter_loop
-            [
-              assigned_names b [];
-              (match update with Some u -> assigned_names u [] | None -> []);
-            ]
-            [
-              (match cond with Some c -> expr_has_call c | None -> false);
-              (match update with Some u -> stmt_has_call u | None -> false);
-              stmt_has_call b;
-            ]
-        in
-        Option.iter (check_expr (Some inner)) cond;
-        check_stmt (Some inner) b;
-        Option.iter (check_stmt (Some inner)) update;
-        check_reduction_escape
-          (Option.to_list cond)
-          (b :: Option.to_list update);
-        check_shared_writes (Option.to_list cond) (b :: Option.to_list update)
-    | Ast.Return e -> Option.iter (check_expr ctx) e
-    | Ast.ExprStmt e | Ast.Print e -> check_expr ctx e
-    | Ast.Block body -> List.iter (check_stmt ctx) body
-  in
+              x (Ast.binop_to_string op) f)
+    l.accums;
+  (* A write-first global is the privatizable shape, a reduction-shaped
+     accumulate the rewritable one; anything else races once the
+     iterations are spawned. *)
   List.iter
-    (fun (f : Ast.func) -> List.iter (check_stmt None) f.fbody)
-    p.funcs;
-  !warnings
+    (fun (x, loc) ->
+      if not (List.exists (fun (y, _, _) -> y = x) l.accums) then
+        Option.iter
+          (warn env loc
+             "shared global '%s' written in a loop is neither privatizable \
+              nor a reduction (%s) — spawned iterations would race on it"
+             x)
+          (match List.assoc_opt x l.first with
+          | Some Write -> None
+          | Some Read -> Some "an iteration reads it before writing"
+          | None -> Some "only some iterations write it"))
+    l.wrote;
+  in_loop env (fun p ->
+      p.assigned <- l.assigned @ p.assigned;
+      p.has_call <- p.has_call || l.has_call;
+      p.passed <- l.passed @ p.passed)
+
+let rec stmt env (s : Ast.stmt) =
+  match s.sdesc with
+  | DeclScalar (x, init) ->
+      Option.iter (expr env) init;
+      in_loop env (fun l -> l.assigned <- x :: l.assigned);
+      bind env.scopes (declare env ~written:(init <> None) Local x s.sloc)
+  | DeclArray (x, _) -> bind env.scopes (declare env Local x s.sloc)
+  | Assign (lv, e) ->
+      assign env s ~update:false lv e;
+      env.scopes
+  | OpAssign (_, lv, e) ->
+      assign env s ~update:true lv e;
+      env.scopes
+  | If (c, t, f) ->
+      expr env c;
+      let branch = { env with scopes = [] :: env.scopes; guarded = true } in
+      ignore (stmt branch t);
+      Option.iter (fun f -> ignore (stmt branch f)) f;
+      env.scopes
+  | While (c, b) | DoWhile (b, c) ->
+      loop env (Some c) None b;
+      env.scopes
+  | For (init, cond, update, body) ->
+      (* The induction variable declared in [init] scopes over the whole
+         statement. [init] runs once, before the loop: it is judged in
+         the enclosing loop's context, and its assignments do not make a
+         variable loop-variant. *)
+      let scopes = [] :: env.scopes in
+      let scopes =
+        match init with
+        | Some s -> stmt { env with scopes; region = None } s
+        | None -> scopes
+      in
+      loop { env with scopes } cond update body;
+      env.scopes
+  | Break | Continue -> env.scopes
+  | Return e ->
+      Option.iter (expr env) e;
+      env.scopes
+  | ExprStmt e | Print e ->
+      expr env e;
+      env.scopes
+  | Block body ->
+      ignore
+        (List.fold_left
+           (fun scopes s -> stmt { env with scopes } s)
+           ([] :: env.scopes) body);
+      env.scopes
+
+and loop env cond update body =
+  (* A [for] with no condition never warns: there is nothing to be
+     constant. *)
+  Option.iter
+    (fun (c : Ast.expr) ->
+      if const_cond c then
+        warn env c.eloc "loop condition is provably constant")
+    cond;
+  let l =
+    {
+      cond;
+      assigned = [];
+      has_call = false;
+      subscripts = [];
+      passed = [];
+      accums = [];
+      first = [];
+      wrote = [];
+    }
+  in
+  let inner =
+    { env with loops = l :: env.loops; region = Some l; guarded = false }
+  in
+  (* The condition's reads precede (the next) iteration's body, so they
+     count as reads of another iteration's value — for a do-while too. *)
+  Option.iter (expr inner) cond;
+  ignore (stmt { inner with scopes = [] :: env.scopes } body);
+  Option.iter (fun u -> ignore (stmt inner u)) update;
+  leave env l
 
 let program (p : Ast.program) =
-  let acc = ref [] in
+  let env =
+    {
+      scopes = [];
+      loops = [];
+      region = None;
+      guarded = false;
+      globals = List.map Ast.global_name p.globals;
+      scalars =
+        List.filter_map
+          (function Ast.GScalar (n, _, _) -> Some n | Ast.GArray _ -> None)
+          p.globals;
+      infos = ref [];
+      warnings = ref [];
+    }
+  in
   let globals =
     List.map
-      (fun g ->
-        let name, loc =
-          match g with
-          | Ast.GScalar (n, _, loc) | Ast.GArray (n, _, loc) -> (n, loc)
-        in
-        let i = { name; loc; kind = Global; read = false; written = false } in
-        acc := i :: !acc;
-        i)
+      (function
+        | Ast.GScalar (n, _, loc) | Ast.GArray (n, _, loc) ->
+            declare env Global n loc)
       p.globals
   in
   List.iter
     (fun (f : Ast.func) ->
       let params =
         List.map
-          (fun prm ->
-            let i =
-              {
-                name = Ast.param_name prm;
-                loc = f.floc;
-                kind = Param;
-                read = false;
-                written = false;
-              }
-            in
-            acc := i :: !acc;
-            i)
+          (fun prm -> declare env Param (Ast.param_name prm) f.floc)
           f.fparams
       in
       ignore
         (List.fold_left
-           (fun sc s -> stmt sc acc s)
+           (fun scopes s -> stmt { env with scopes } s)
            [ []; params; globals ] f.fbody))
     p.funcs;
   let usage =
-    List.rev !acc
+    List.rev !(env.infos)
     |> List.filter_map (fun i ->
          match i.kind with
          | Param ->
@@ -646,6 +414,6 @@ let program (p : Ast.program) =
                     i.name)
              else None)
   in
-  usage @ loop_lints p
+  usage @ !(env.warnings)
   |> List.sort (fun (a : Diag.warning) b ->
          match compare a.wloc b.wloc with 0 -> compare a.wmsg b.wmsg | c -> c)

@@ -41,15 +41,6 @@ let unit_kind_to_string = function
   | Loop_iterations -> "loop iterations"
   | Proc_instances -> "call instances"
 
-let callees_in (prog : Vm.Program.t) first last =
-  let acc = ref [] in
-  for pc = first to last do
-    match prog.code.(pc) with
-    | Vm.Instr.Call g -> acc := g :: !acc
-    | _ -> ()
-  done;
-  List.sort_uniq compare !acc
-
 (* Transitive closure of the callee set, seeded from the construct's
    body span. The same traversal as {!Depend.construct_proven_independent}
    uses for its all-pruned check: a unit's dynamic extent is its body
@@ -60,10 +51,10 @@ let closure (prog : Vm.Program.t) ~body_first ~body_last =
     if not (Hashtbl.mem seen fid) then begin
       Hashtbl.add seen fid ();
       let f = prog.Vm.Program.funcs.(fid) in
-      List.iter visit (callees_in prog f.entry (f.code_end - 1))
+      List.iter visit (Vm.Program.callees_in prog f.entry (f.code_end - 1))
     end
   in
-  List.iter visit (callees_in prog body_first body_last);
+  List.iter visit (Vm.Program.callees_in prog body_first body_last);
   Hashtbl.fold (fun fid () acc -> fid :: acc) seen [] |> List.sort compare
 
 let of_construct (prog : Vm.Program.t) (c : Vm.Program.construct_info) =

@@ -42,25 +42,6 @@ let live t fid = t.live.(fid)
 
 (* ---- call graph -------------------------------------------------------- *)
 
-let fid_of_pc_table (prog : Vm.Program.t) =
-  let a = Array.make (Array.length prog.code) (-1) in
-  Array.iter
-    (fun (f : Vm.Program.func_info) ->
-      for pc = f.entry to f.code_end - 1 do
-        a.(pc) <- f.fid
-      done)
-    prog.funcs;
-  a
-
-let callees_in (prog : Vm.Program.t) first last =
-  let acc = ref [] in
-  for pc = first to last do
-    match prog.code.(pc) with
-    | Vm.Instr.Call g -> acc := g :: !acc
-    | _ -> ()
-  done;
-  List.sort_uniq compare !acc
-
 (* Functions reachable from [main] via Call instructions in reachable
    code. Event pcs of unreachable functions never execute: they are
    trivially prunable and must not veto anyone else's pruning. *)
@@ -71,7 +52,7 @@ let live_fids (prog : Vm.Program.t) =
     if not live.(fid) then begin
       live.(fid) <- true;
       let f = prog.funcs.(fid) in
-      List.iter visit (callees_in prog f.entry (f.code_end - 1))
+      List.iter visit (Vm.Program.callees_in prog f.entry (f.code_end - 1))
     end
   in
   visit prog.main_fid;
@@ -124,12 +105,7 @@ let called_once_tbl (prog : Vm.Program.t) fid_of_pc live loop_depth =
    with the same extent) is what turns subscript-value disjointness into
    address disjointness. *)
 let same_array_no_dep dist (a : Points_to.access) (b : Points_to.access) =
-  a.Points_to.complete && b.Points_to.complete
-  && (match (a.Points_to.regions, b.Points_to.regions) with
-     | ( [ Points_to.Global { base = ba; len = la } ],
-         [ Points_to.Global { base = bb; len = lb } ] ) ->
-         ba = bb && la = lb
-     | _ -> false)
+  Points_to.same_single_array a b
   && Distance.no_dep dist ~head_pc:a.Points_to.pc ~tail_pc:b.Points_to.pc
 
 (* ---- pruning ----------------------------------------------------------- *)
@@ -217,7 +193,7 @@ let analyze ?analysis (prog : Vm.Program.t) =
     match analysis with Some a -> a | None -> Cfa.Analysis.analyze prog
   in
   let loop_depth = analysis.Cfa.Analysis.loop_depth_of_pc in
-  let fid_of_pc = fid_of_pc_table prog in
+  let fid_of_pc = Vm.Program.fid_of_pc_table prog in
   let live = live_fids prog in
   let called_once = called_once_tbl prog fid_of_pc live loop_depth in
   let dist =
@@ -339,12 +315,6 @@ let widen_prune t ~(region_hint : int -> (int * int) option) =
 
 (* ---- verdicts ---------------------------------------------------------- *)
 
-let exact_global (a : Points_to.access) =
-  match a with
-  | { complete = true; regions = [ Points_to.Global { base; len = 1 } ]; _ } ->
-      Some base
-  | _ -> None
-
 let direction_ok kind (h : Points_to.access) (t : Points_to.access) =
   match (kind : Shadow.Dependence.kind) with
   | Raw -> h.is_write && not t.is_write
@@ -399,7 +369,7 @@ let classify t ~kind ~head_pc ~tail_pc =
             match (kind : Shadow.Dependence.kind) with
             | War -> false (* head is a read: no last-writer argument *)
             | Raw | Waw -> (
-                match (exact_global h, exact_global tl) with
+                match (Points_to.exact_global h, Points_to.exact_global tl) with
                 | Some a, Some b
                   when a = b && h.Points_to.fid = tl.Points_to.fid -> (
                     match t.must_reach.(h.Points_to.fid) with
@@ -448,12 +418,13 @@ let construct_proven_independent t ~cid =
       let f = t.prog.Vm.Program.funcs.(fid) in
       check_range f.entry (f.code_end - 1);
       if !ok then
-        List.iter check_fid (callees_in t.prog f.entry (f.code_end - 1))
+        List.iter check_fid
+          (Vm.Program.callees_in t.prog f.entry (f.code_end - 1))
     end
   in
   check_range c.body_first c.body_last;
   if !ok then
-    List.iter check_fid (callees_in t.prog c.body_first c.body_last);
+    List.iter check_fid (Vm.Program.callees_in t.prog c.body_first c.body_last);
   !ok
 
 let frame_owner t ~head_pc ~tail_pc =
@@ -480,14 +451,7 @@ let same_single_array t ~head_pc ~tail_pc =
     if pc < 0 || pc >= n then None else Points_to.access t.pts pc
   in
   match (acc head_pc, acc tail_pc) with
-  | Some h, Some tl -> (
-      h.Points_to.complete && tl.Points_to.complete
-      &&
-      match (h.Points_to.regions, tl.Points_to.regions) with
-      | ( [ Points_to.Global { base = ba; len = la } ],
-          [ Points_to.Global { base = bb; len = lb } ] ) ->
-          ba = bb && la = lb
-      | _ -> false)
+  | Some h, Some tl -> Points_to.same_single_array h tl
   | _ -> false
 
 let distance_bound t ~head_pc ~tail_pc =

@@ -537,23 +537,13 @@ let solve_function t (loops : loop_facts array) (cfg : Cfa.Cfg.t) =
 
 (* ---- analysis entry ----------------------------------------------------- *)
 
-let fid_of_pc_table (prog : Vm.Program.t) =
-  let a = Array.make (Array.length prog.code) (-1) in
-  Array.iter
-    (fun (f : Vm.Program.func_info) ->
-      for pc = f.entry to f.code_end - 1 do
-        a.(pc) <- f.fid
-      done)
-    prog.funcs;
-  a
-
 let analyze (prog : Vm.Program.t) =
   let const_global, const_store_pc = const_globals prog in
   let t =
     {
       prog;
       funcs = Array.make (Array.length prog.funcs) None;
-      fid_of_pc = fid_of_pc_table prog;
+      fid_of_pc = Vm.Program.fid_of_pc_table prog;
       const_global;
       const_store_pc;
     }

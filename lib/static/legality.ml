@@ -40,13 +40,6 @@ let kind_tag = function
   | Shadow.Dependence.War -> 1
   | Shadow.Dependence.Waw -> 2
 
-let exact_global (a : Points_to.access) =
-  match a with
-  | { Points_to.complete = true;
-      regions = [ Points_to.Global { base; len = 1 } ]; _ } ->
-      Some base
-  | _ -> None
-
 let serial reason =
   { verdict = Serializing; reason; cell = None; span = None; op = None;
     copy_out = false }
@@ -66,7 +59,7 @@ let classify_uncached t ~kind ~head_pc ~tail_pc =
   else
     match (acc head_pc, acc tail_pc) with
     | Some h, Some tl -> (
-        match (exact_global h, exact_global tl) with
+        match (Points_to.exact_global h, Points_to.exact_global tl) with
         | Some a, Some b when a = b -> (
             match Privatize.innermost_common_loop t.priv ~pc1:head_pc ~pc2:tail_pc with
             | None -> bottom "endpoints share no natural loop"

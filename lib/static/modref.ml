@@ -10,15 +10,6 @@ type t = { summaries : summary array }
 
 let summary t fid = t.summaries.(fid)
 
-let callees_in (prog : Vm.Program.t) first last =
-  let acc = ref [] in
-  for pc = first to last do
-    match prog.code.(pc) with
-    | Vm.Instr.Call g -> acc := g :: !acc
-    | _ -> ()
-  done;
-  List.sort_uniq compare !acc
-
 (* ---- escaping parameters ----------------------------------------------- *)
 
 (* Per-block abstract operand stack tracking which slots' values sit
@@ -189,7 +180,7 @@ let analyze (prog : Vm.Program.t) (pts : Points_to.t) =
           refs := List.rev_append s.ref_regions !refs;
           if not s.mod_complete then mod_c := false;
           if not s.ref_complete then ref_c := false)
-        (callees_in prog f.entry (f.code_end - 1));
+        (Vm.Program.callees_in prog f.entry (f.code_end - 1));
       {
         mod_regions = List.sort_uniq compare !mods;
         mod_complete = !mod_c;

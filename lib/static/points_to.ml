@@ -37,6 +37,18 @@ let regions_may_alias a b =
   (not (a.complete && b.complete))
   || List.exists (fun ra -> List.exists (may_overlap ra) b.regions) a.regions
 
+let exact_global = function
+  | { complete = true; regions = [ Global { base; len = 1 } ]; _ } -> Some base
+  | _ -> None
+
+let same_single_array a b =
+  a.complete && b.complete
+  &&
+  match (a.regions, b.regions) with
+  | [ Global { base = ba; len = la } ], [ Global { base = bb; len = lb } ] ->
+      ba = bb && la = lb
+  | _ -> false
+
 let pp_region ppf = function
   | Global { base; len } -> Format.fprintf ppf "g[%d..%d)" base (base + len)
   | Frame { fid; off; len } ->

@@ -76,5 +76,14 @@ val may_overlap : region -> region -> bool
 val regions_may_alias : access -> access -> bool
 (** Both complete and region-disjoint → [false]; anything else → [true]. *)
 
+val exact_global : access -> int option
+(** [Some base] when the access provably touches exactly the one global
+    cell [base] (a complete access whose only region is a length-1
+    [Global]). *)
+
+val same_single_array : access -> access -> bool
+(** Both accesses are complete and target one and the same global array
+    (each has a single [Global] region, with equal base and length). *)
+
 val pp_region : Format.formatter -> region -> unit
 val region_to_string : region -> string

@@ -248,12 +248,6 @@ let prove_privatizable t (loop : loop) ~cell =
 
 (* ---- reduction: one commutative fold of the cell ------------------------ *)
 
-let associative = function
-  | Minic.Ast.Add | Minic.Ast.Mul | Minic.Ast.BitAnd | Minic.Ast.BitOr
-  | Minic.Ast.BitXor ->
-      true
-  | _ -> false
-
 (* Symbolic operand-stack value for the fold walk: the loaded
    accumulator, a fold of it under one operator, or anything else. *)
 type sv = Acc | Fold of Minic.Ast.binop | Val
@@ -303,7 +297,8 @@ let fold_walk (prog : Vm.Program.t) ~r ~s =
         let a = pop () in
         match (a, b) with
         | Val, Val -> push Val
-        | (Acc, Val | Val, Acc) when associative op -> push (Fold op)
+        | (Acc, Val | Val, Acc) when Minic.Ast.assoc_commutative op ->
+            push (Fold op)
         | (Fold op', Val | Val, Fold op') when op' = op -> push (Fold op)
         | _ -> refute ())
     | Vm.Instr.Dup2 -> (

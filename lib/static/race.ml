@@ -101,22 +101,6 @@ let analyze (prog : Vm.Program.t) (pts : Points_to.t) (priv : Privatize.t)
    cases: the verdict is decided by the first witness. *)
 let witness_cap = 16
 
-let exact_global (a : Points_to.access) =
-  match a with
-  | { Points_to.complete = true;
-      regions = [ Points_to.Global { base; len = 1 } ]; _ } ->
-      Some base
-  | _ -> None
-
-let same_single_array (a : Points_to.access) (b : Points_to.access) =
-  a.Points_to.complete && b.Points_to.complete
-  &&
-  match (a.Points_to.regions, b.Points_to.regions) with
-  | ( [ Points_to.Global { base = ba; len = la } ],
-      [ Points_to.Global { base = bb; len = lb } ] ) ->
-      ba = bb && la = lb
-  | _ -> false
-
 let symbol_at t addr =
   List.find_map
     (fun (name, base, len) ->
@@ -131,7 +115,7 @@ let named_cell t addr =
   | None -> Printf.sprintf "global %d" addr
 
 let describe_cell t (a : Points_to.access) (b : Points_to.access) =
-  match (exact_global a, exact_global b) with
+  match (Points_to.exact_global a, Points_to.exact_global b) with
   | Some ca, Some cb when ca = cb -> named_cell t ca
   | _ -> (
       let overlapping =
@@ -196,7 +180,7 @@ let pair_exempt t (region : Concur.region) loop (a : Points_to.access)
      | Concur.Proc_instances -> true
      | Concur.Loop_iterations -> a.Points_to.fid <> region.Concur.fid))
   (* transform legality, per proven (loop, cell) *)
-  || (match (loop, exact_global a, exact_global b) with
+  || (match (loop, Points_to.exact_global a, Points_to.exact_global b) with
      | Some l, Some ca, Some cb when ca = cb -> (
          match Privatize.prove_reduction t.priv l ~cell:ca with
          | Ok _ -> true
@@ -206,7 +190,7 @@ let pair_exempt t (region : Concur.region) loop (a : Points_to.access)
              | Error _ -> false))
      | _ -> false)
   (* subscript facts over one common array *)
-  || (same_single_array a b
+  || (Points_to.same_single_array a b
      && (Distance.no_dep t.dist ~head_pc:a.Points_to.pc
            ~tail_pc:b.Points_to.pc
         || (region.Concur.kind = Concur.Loop_iterations

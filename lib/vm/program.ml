@@ -45,6 +45,23 @@ let func_of_pc t pc =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Program.func_of_pc: pc %d" pc)
 
+let fid_of_pc_table t =
+  let a = Array.make (Array.length t.code) (-1) in
+  Array.iter
+    (fun f ->
+      for pc = f.entry to f.code_end - 1 do
+        a.(pc) <- f.fid
+      done)
+    t.funcs;
+  a
+
+let callees_in t first last =
+  let acc = ref [] in
+  for pc = first to last do
+    match t.code.(pc) with Instr.Call g -> acc := g :: !acc | _ -> ()
+  done;
+  List.sort_uniq compare !acc
+
 let line_of_pc t pc =
   if pc >= 0 && pc < Array.length t.locs then t.locs.(pc).Minic.Srcloc.line
   else 0

@@ -47,6 +47,14 @@ val func_of_pc : t -> int -> func_info
 (** The function whose code region contains the pc.
     @raise Invalid_argument if the pc belongs to the entry preamble. *)
 
+val fid_of_pc_table : t -> int array
+(** pc -> the fid of the function whose code contains it, or [-1] for
+    the entry preamble. *)
+
+val callees_in : t -> int -> int -> int list
+(** [callees_in p first last]: the fids called by [Call] instructions
+    at pcs [first..last], sorted and deduplicated. *)
+
 val line_of_pc : t -> int -> int
 (** Source line of the instruction at [pc] (0 for synthesized code). *)
 

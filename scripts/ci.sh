@@ -157,6 +157,14 @@ if grep -q '"validated_legality_edges": 0[,}]' "$tmpdir/check.json"; then
 fi
 echo "legality gate: every workload persists validated legality verdicts"
 
+# The same gauntlet at Table III scale, where bzip2 and delaunay recycle
+# index nodes: prune-on/off byte-identity and the sanitizer must also
+# hold on the node-reuse path.
+dune exec --no-build -- alchemist check --all --json \
+  > "$tmpdir/check-table3.json"
+grep -q '"failed_workloads": 0' "$tmpdir/check-table3.json"
+echo "static checker: every workload clean at Table III scale"
+
 # 2. Seeded failure: retag one of gzip's serializing legality lines as
 #    privatizable; the sanitizer must refuse the profile (this proves the
 #    legality cross-check can actually fire, not just that clean profiles

@@ -48,8 +48,8 @@ let test_registry_unhooked () =
     Workloads.Registry.all
 
 (* The register backend must actually compile every registry workload —
-   a silent bail would fall back to the switch interpreter and pass every
-   differential below vacuously. *)
+   a silent bail, or a tag left unproven, would fall back to the switch
+   interpreter and pass every differential below vacuously. *)
 let test_register_lowering_coverage () =
   let check name prog =
     List.iter
@@ -59,7 +59,10 @@ let test_register_lowering_coverage () =
             Alcotest.(check bool)
               (Printf.sprintf "%s (hooked=%b): nonempty IR" name hooked)
               true
-              (Array.length lw.Ir.Lower.instrs > 2)
+              (Array.length lw.Ir.Lower.instrs > 2);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s (hooked=%b): every tag proven" name hooked)
+              false (Ir.Exec.needs_tags lw)
         | None ->
             Alcotest.failf "%s: register lowering bailed (hooked=%b)" name
               hooked)

@@ -454,6 +454,23 @@ let test_lint_shared_global_write () =
             }|})
        "spawned iterations would race")
 
+(* Every lint over the nine registry programs at their default scale,
+   location and message as [--warn] prints them. The snippet tests
+   above compare messages only; this pins where each warning lands. *)
+let test_lint_registry_golden () =
+  let rendered =
+    List.concat_map
+      (fun (w : Workloads.Workload.t) ->
+        let ast = Minic.Frontend.load (w.source ~scale:w.default_scale) in
+        List.map
+          (fun x -> Format.asprintf "%s: %a\n" w.name Minic.Diag.pp_warning x)
+          (Minic.Lint.program ast))
+      Workloads.Registry.all
+  in
+  Alcotest.(check string) "byte-identical to the golden"
+    (In_channel.with_open_bin "golden/lint-registry.txt" In_channel.input_all)
+    (String.concat "" rendered)
+
 let suite =
   [
     ("adjacent operators", `Quick, test_adjacent_operators);
@@ -492,4 +509,5 @@ let suite =
       `Quick,
       test_lint_reduction_escape_scopes );
     ("shared global write", `Quick, test_lint_shared_global_write);
+    ("lint registry golden", `Quick, test_lint_registry_golden);
   ]
