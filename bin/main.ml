@@ -439,9 +439,9 @@ let profile_all_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Driver.Parallel.default_jobs ())
+      & opt (int_at_least 1) (Driver.Scheduler.default_workers ())
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: cores - 1). 1 disables sharding.")
+          ~doc:"Worker domains (at least 1; default: cores - 1).")
   in
   let test_scale =
     Arg.(
@@ -462,17 +462,16 @@ let profile_all_cmd =
       value & flag
       & info [ "telemetry" ]
           ~doc:"Add a per-shard breakdown (wall time, events, walk depth) \
-                and the merged telemetry snapshot.")
+                and the merged telemetry snapshot, including the sched.* \
+                scheduler metrics.")
   in
   let profile_all fuel jobs test_scale save_dir telemetry =
     handle_errors (fun () ->
-        let jobs = max 1 jobs in
         let scale_of (w : Workloads.Workload.t) =
           if test_scale then w.test_scale else w.default_scale
         in
-        (* A thin client of the serve pool: lend one work-stealing
-           scheduler to the registry sweep so --telemetry shows the
-           sched.* metrics (steals, queue depth, job latency). *)
+        (* Lend one scheduler to the registry sweep so --telemetry
+           shows the sched.* metrics (queue depth, job latency). *)
         let sched = Driver.Scheduler.create ~workers:jobs () in
         let t0 = Unix.gettimeofday () in
         let results =
@@ -543,17 +542,18 @@ let serve_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Driver.Scheduler.default_workers ())
+      & opt (int_at_least 1) (Driver.Scheduler.default_workers ())
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains in the profiling pool (default: cores - 1).")
+          ~doc:"Worker domains in the profiling pool (at least 1; default: \
+                cores - 1).")
   in
   let telemetry =
     Arg.(
       value & flag
       & info [ "telemetry" ]
           ~doc:"After each drain, print a throughput summary (jobs/s, cache \
-                hit rate, steals, queue depth, job-latency p50/p99) and the \
-                full merged metric snapshot to stderr.")
+                hit rate, queue depth, job-latency p50/p99) and the full \
+                merged metric snapshot to stderr.")
   in
   let cache_dir =
     Arg.(
@@ -567,9 +567,9 @@ let serve_cmd =
   let cache_capacity =
     Arg.(
       value
-      & opt int Driver.Cache.default_capacity
+      & opt (int_at_least 1) Driver.Cache.default_capacity
       & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"In-memory cache entries before LRU eviction.")
+          ~doc:"In-memory cache entries before LRU eviction (at least 1).")
   in
   let socket =
     Arg.(
@@ -579,14 +579,15 @@ let serve_cmd =
           ~doc:"Listen on a unix domain socket instead of stdin, serving \
                 clients one at a time until killed. Each connection speaks \
                 the same newline-delimited protocol and is drained on \
-                disconnect.")
+                disconnect. A stale socket at PATH is replaced; any other \
+                file there is an error and is left alone.")
   in
   let serve jobs telemetry cache_dir cache_capacity socket =
     handle_errors (fun () ->
         let cache =
           Driver.Cache.create ~capacity:cache_capacity ?dir:cache_dir ()
         in
-        let svc = Driver.Service.create ~workers:(max 1 jobs) ~cache () in
+        let svc = Driver.Service.create ~workers:jobs ~cache () in
         (* Per-drain deltas for the stderr summary. *)
         let last_requests = ref 0 and last_time = ref (Unix.gettimeofday ()) in
         let drains = ref 0 in
@@ -607,10 +608,10 @@ let serve_cmd =
           in
           Printf.eprintf
             "# drain %d: %d request(s) in %.3fs (%.1f jobs/s) | cache %d/%d \
-             hit | steals %d | queue hwm %d | latency p50<=%s p99<=%s\n"
+             hit | queue hwm %d | latency p50<=%s p99<=%s\n"
             !drains batch dt
             (if dt > 0. then float_of_int batch /. dt else 0.)
-            hits lookups (count "sched.steals")
+            hits lookups
             (match Obs.find snap "sched.queue_depth" with
             | Some (Obs.Level { hwm; _ }) -> hwm
             | _ -> 0)
@@ -648,7 +649,11 @@ let serve_cmd =
         (match socket with
         | None -> serve_channel stdin stdout
         | Some path ->
-            if Sys.file_exists path then Sys.remove path;
+            (* Only a socket (a previous serve's) is ours to replace. *)
+            (match Unix.lstat path with
+            | { Unix.st_kind = Unix.S_SOCK; _ } -> Sys.remove path
+            | _ -> raise (Sys_error (path ^ ": exists and is not a socket"))
+            | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
             let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
             Unix.bind sock (Unix.ADDR_UNIX path);
             Unix.listen sock 8;
@@ -668,9 +673,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the profile registry as a service: newline-delimited \
              profiling requests on stdin (or a unix socket), replies \
-             streamed back in submission order, backed by the \
-             work-stealing scheduler and the content-addressed profile \
-             cache."
+             streamed back in submission order, backed by a pool of \
+             worker domains fed from one FIFO queue and the \
+             content-addressed profile cache."
        ~man:
          [
            `S Manpage.s_description;

@@ -1,5 +1,3 @@
-let default_jobs () = Scheduler.default_workers ()
-
 let map ?sched ~jobs f xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -7,12 +5,12 @@ let map ?sched ~jobs f xs =
     let jobs = max 1 (min jobs n) in
     if jobs = 1 && Option.is_none sched then Array.map f xs
     else begin
-      (* A client of the work-stealing scheduler: submit every item,
-         await in index order. Stealing keeps uneven item costs
-         balanced exactly as the old atomic cursor did, with the same
-         cancellation contract on top. The pool is one-shot unless the
-         caller lends its own ([sched]), e.g. profile-all reusing the
-         serve pool so its telemetry shows up in one place. *)
+      (* A client of the scheduler: submit every item, await in index
+         order. Workers take items from one queue as they free up, so
+         uneven item costs balance, with the cancellation contract on
+         top. The pool is one-shot unless the caller lends its own
+         ([sched]), as profile-all does so that --telemetry shows the
+         sched.* metrics. *)
       let own_sched = Option.is_none sched in
       let sched =
         match sched with
@@ -66,8 +64,8 @@ let timed_run ?fuel ?trace_locals prog =
   Obs.Timer.stop shard_wall;
   r
 
-let profile_programs ?(jobs = default_jobs ()) ?fuel ?trace_locals ?obs =
-  function
+let profile_programs ?(jobs = Scheduler.default_workers ()) ?fuel
+    ?trace_locals ?obs = function
   | [] -> invalid_arg "Parallel.profile_programs: empty list"
   | progs ->
       let results =
@@ -86,7 +84,7 @@ let profile_programs ?(jobs = default_jobs ()) ?fuel ?trace_locals ?obs =
             (Array.length results);
           Obs.Timer.time mt merge)
 
-let profile_registry ?sched ?(jobs = default_jobs ()) ?fuel
+let profile_registry ?sched ?(jobs = Scheduler.default_workers ()) ?fuel
     ?(scale_of = fun (w : Workloads.Workload.t) -> w.default_scale) () =
   let compiled =
     List.map

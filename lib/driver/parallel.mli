@@ -10,17 +10,14 @@
     to byte-identical output regardless of job count or completion
     order — the property [test_parallel.ml] pins down. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1: one domain per
-    core, counting the caller (which also works). *)
-
 val map : ?sched:Scheduler.t -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f xs] applies [f] to every element, distributing work
-    over a one-shot [jobs]-worker {!Scheduler} pool (work-stealing, so
-    uneven item costs balance automatically). The first failure cancels
-    the run: no worker starts a new item once any [f] has raised (items
-    already in flight finish), and the first exception (in index order)
-    is re-raised with its backtrace after the pool has shut down.
+    over a one-shot [jobs]-worker {!Scheduler} pool (a worker that frees
+    up takes the next item, so uneven item costs balance). The first
+    failure cancels the run: no worker starts a new item once any [f]
+    has raised (items already in flight finish), and the first
+    exception (in index order) is re-raised with its backtrace after
+    the pool has shut down.
     [jobs <= 1] runs sequentially in the calling domain.
     [sched] lends an existing pool instead: [jobs] is then ignored, the
     pool is left running, and its telemetry accumulates the submitted

@@ -1,91 +1,16 @@
-(* A persistent work-stealing job scheduler over OCaml 5 domains.
+(* A persistent job scheduler over OCaml 5 domains: one FIFO queue under
+   one mutex. Jobs are coarse (whole profiling runs, one serve request
+   each) and share nothing mutable, so a worker that frees up takes the
+   oldest queued job, and one lock round-trip per job is noise.
 
-
-   Topology: one global injector queue (submissions from outside the
-   pool) plus one deque per worker domain. A worker runs jobs off the
-   bottom of its own deque; when empty it steals the top half of a
-   sibling's deque, and only then falls back to grabbing a batch from
-   the injector. Stealing from the top takes the oldest (hence, under
-   LIFO execution, typically largest) runs of work; batching both the
-   steal and the injector grab amortizes the handoff, so one submission
-   burst fans out across the pool in O(log n) transfers instead of n.
-
-   Sleeping without Condition.timedwait (which the stdlib does not
-   have) requires that every transition from "no work anywhere" to
-   "work somewhere" signal under the same mutex the sleepers check
-   under. All queue/deque occupancy accounting therefore lives in a
-   single [available] count guarded by the global mutex: pushes
-   increment it and signal; claims decrement it. A worker sleeps only
-   on the predicate [available = 0 && not stop] under that mutex, so a
-   wakeup can never be lost. The per-deque mutexes guard only the deque
-   contents; the window where a deque holds a job whose [available]
-   increment has not landed yet merely causes a spurious wakeup-and-
-   retry, never a missed one. Jobs are coarse (whole profiling runs),
-   so the few extra mutex transitions per job are noise. *)
+   The stdlib has no Condition.timedwait, so a lost wakeup would hang a
+   worker for good. Every change a sleeper waits for therefore happens
+   under [m], which also guards the telemetry: a submission pushes and
+   signals [work_cv], a worker sleeps only while the queue is empty and
+   [stop] is unset, and the last completion broadcasts [idle_cv] for
+   [drain]. *)
 
 type job = { run : unit -> unit; born_ns : int }
-
-module Deque = struct
-  (* A growable ring buffer, each instance guarded by its own mutex.
-     Owner pushes and pops at the bottom (LIFO); thieves take from the
-     top (FIFO end). *)
-  type t = {
-    mutable buf : job option array;
-    mutable top : int;  (* index of the oldest element *)
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  let create () =
-    { buf = Array.make 64 None; top = 0; len = 0; lock = Mutex.create () }
-
-  let grow d =
-    let n = Array.length d.buf in
-    let buf = Array.make (2 * n) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.top + i) mod n)
-    done;
-    d.buf <- buf;
-    d.top <- 0
-
-  (* All three take [d.lock] themselves; callers never hold it. *)
-  let push_bottom d j =
-    Mutex.lock d.lock;
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.top + d.len) mod Array.length d.buf) <- Some j;
-    d.len <- d.len + 1;
-    Mutex.unlock d.lock
-
-  let pop_bottom d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        let i = (d.top + d.len - 1) mod Array.length d.buf in
-        let j = d.buf.(i) in
-        d.buf.(i) <- None;
-        d.len <- d.len - 1;
-        j
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-
-  (* Take ceil(len/2) elements from the top, oldest first. *)
-  let steal_top_half d =
-    Mutex.lock d.lock;
-    let k = (d.len + 1) / 2 in
-    let taken =
-      List.init k (fun _ ->
-          let j = d.buf.(d.top) in
-          d.buf.(d.top) <- None;
-          d.top <- (d.top + 1) mod Array.length d.buf;
-          d.len <- d.len - 1;
-          Option.get j)
-    in
-    Mutex.unlock d.lock;
-    taken
-end
 
 type 'a state =
   | Pending
@@ -98,186 +23,76 @@ type 'a promise = {
   pc : Condition.t;
 }
 
-type worker_stats = {
-  w_obs : Obs.Registry.t;
-  w_jobs : Obs.Counter.t;
-  w_steals : Obs.Counter.t;
-  w_steal_batches : Obs.Counter.t;
-  w_injected : Obs.Counter.t;
-  w_latency : Obs.Histogram.t;  (* submit-to-completion, nanoseconds *)
-}
-
 type t = {
   nworkers : int;
-  injector : job Queue.t;
-  deques : Deque.t array;
-  m : Mutex.t;  (* guards injector, available, pending, stop, shared_obs *)
-  work_cv : Condition.t;  (* available > 0 or stop *)
+  queue : job Queue.t;
+  m : Mutex.t;  (* guards queue, pending, stop and every instrument *)
+  work_cv : Condition.t;  (* queue non-empty or stop *)
   idle_cv : Condition.t;  (* pending = 0 *)
-  mutable available : int;  (* jobs queued anywhere, not yet claimed *)
   mutable pending : int;  (* jobs submitted, not yet completed *)
   mutable stop : bool;
   mutable domains : unit Domain.t array;
-  stats : worker_stats array;
-  shared_obs : Obs.Registry.t;  (* updated only under [m] *)
+  obs : Obs.Registry.t;
   submitted_c : Obs.Counter.t;
+  jobs_c : Obs.Counter.t;
+  latency_h : Obs.Histogram.t;  (* submit-to-completion, nanoseconds *)
   depth_g : Obs.Gauge.t;
 }
 
 let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* --- worker loop --------------------------------------------------------- *)
+(* The oldest queued job, sleeping while there is none; [None] once the
+   pool is stopping and the queue is empty, so queued jobs still run
+   after [shutdown]. *)
+let next_job t =
+  Mutex.lock t.m;
+  while Queue.is_empty t.queue && not t.stop do
+    Condition.wait t.work_cv t.m
+  done;
+  let j = Queue.take_opt t.queue in
+  if Option.is_some j then Obs.Counter.incr t.jobs_c;
+  Obs.Gauge.set t.depth_g (Queue.length t.queue);
+  Mutex.unlock t.m;
+  j
 
-let worker_loop t ix =
-  let st = t.stats.(ix) in
-  let own = t.deques.(ix) in
-  (* Claim accounting: any job moved out of a queue/deque into execution
-     decrements [available] under [m]. *)
-  let claimed k =
-    Mutex.lock t.m;
-    t.available <- t.available - k;
-    Obs.Gauge.set t.depth_g t.available;
-    Mutex.unlock t.m
-  in
-  let offered k =
-    Mutex.lock t.m;
-    t.available <- t.available + k;
-    Obs.Gauge.set t.depth_g t.available;
-    if k > 1 then Condition.broadcast t.work_cv
-    else Condition.signal t.work_cv;
-    Mutex.unlock t.m
-  in
-  let finished () =
-    Mutex.lock t.m;
-    t.pending <- t.pending - 1;
-    if t.pending = 0 then Condition.broadcast t.idle_cv;
-    Mutex.unlock t.m
-  in
-  let execute j =
-    Obs.Counter.incr st.w_jobs;
-    j.run ();
-    (* submit-to-completion latency: queueing + execution, which is
-       what a serve client experiences *)
-    Obs.Histogram.observe st.w_latency (Obs.now_ns () - j.born_ns);
-    finished ()
-  in
-  (* Keep the first stolen/grabbed job for ourselves, park the rest in
-     our own deque (so siblings can steal them back), and re-advertise
-     the parked count. *)
-  let adopt = function
-    | [] -> None
-    | j :: rest ->
-        List.iter (Deque.push_bottom own) rest;
-        let parked = List.length rest in
-        if parked > 0 then offered parked;
-        Some j
-  in
-  let try_steal () =
-    let found = ref None in
-    let v = ref ((ix + 1) mod t.nworkers) in
-    while Option.is_none !found && !v <> ix do
-      (match Deque.steal_top_half t.deques.(!v) with
-      | [] -> ()
-      | jobs ->
-          claimed (List.length jobs);
-          Obs.Counter.incr st.w_steal_batches;
-          Obs.Counter.add st.w_steals (List.length jobs);
-          found := adopt jobs);
-      v := (!v + 1) mod t.nworkers
-    done;
-    !found
-  in
-  (* Grab up to half the injector (at least one job): the first waker
-     takes a big bite and the rest of the pool steals it back — the
-     fan-out that makes the steal path the common path. *)
-  let try_inject () =
-    Mutex.lock t.m;
-    let n = Queue.length t.injector in
-    let r =
-      if n = 0 then None
-      else begin
-        let k = max 1 ((n + 1) / 2) in
-        let jobs = List.init k (fun _ -> Queue.pop t.injector) in
-        t.available <- t.available - k;
-        Obs.Gauge.set t.depth_g t.available;
-        Obs.Counter.add st.w_injected k;
-        Some jobs
-      end
-    in
-    Mutex.unlock t.m;
-    Option.bind r adopt
-  in
-  let rec next_job () =
-    match Deque.pop_bottom own with
-    | Some j ->
-        claimed 1;
-        Some j
-    | None -> (
-        match try_steal () with
-        | Some j -> Some j
-        | None -> (
-            match try_inject () with
-            | Some j -> Some j
-            | None ->
-                (* Sleep until work appears or we are told to stop. *)
-                Mutex.lock t.m;
-                while t.available = 0 && not t.stop do
-                  Condition.wait t.work_cv t.m
-                done;
-                let stopping = t.stop && t.available = 0 in
-                Mutex.unlock t.m;
-                if stopping then None else next_job ()))
-  in
-  let rec loop () =
-    match next_job () with
-    | Some j ->
-        execute j;
-        loop ()
-    | None -> ()
-  in
-  loop ()
-
-(* --- lifecycle ----------------------------------------------------------- *)
+let rec worker_loop t =
+  match next_job t with
+  | None -> ()
+  | Some j ->
+      j.run ();
+      (* submit-to-completion latency: queueing + execution, which is
+         what a serve client experiences *)
+      let latency = Obs.now_ns () - j.born_ns in
+      Mutex.lock t.m;
+      Obs.Histogram.observe t.latency_h latency;
+      t.pending <- t.pending - 1;
+      if t.pending = 0 then Condition.broadcast t.idle_cv;
+      Mutex.unlock t.m;
+      worker_loop t
 
 let create ?(workers = default_workers ()) () =
   let nworkers = max 1 workers in
-  let stats =
-    Array.init nworkers (fun _ ->
-        let w_obs = Obs.Registry.create () in
-        {
-          w_obs;
-          w_jobs = Obs.Registry.counter w_obs "sched.jobs";
-          w_steals = Obs.Registry.counter w_obs "sched.steals";
-          w_steal_batches = Obs.Registry.counter w_obs "sched.steal_batches";
-          w_injected = Obs.Registry.counter w_obs "sched.injected";
-          w_latency = Obs.Registry.histogram w_obs "sched.job_latency_ns";
-        })
-  in
-  let shared_obs = Obs.Registry.create () in
-  let submitted_c = Obs.Registry.counter shared_obs "sched.submitted" in
-  let depth_g = Obs.Registry.gauge shared_obs "sched.queue_depth" in
-  let workers_g = Obs.Registry.gauge shared_obs "sched.workers" in
-  Obs.Gauge.set workers_g nworkers;
+  let obs = Obs.Registry.create () in
+  Obs.Gauge.set (Obs.Registry.gauge obs "sched.workers") nworkers;
   let t =
     {
       nworkers;
-      injector = Queue.create ();
-      deques = Array.init nworkers (fun _ -> Deque.create ());
+      queue = Queue.create ();
       m = Mutex.create ();
       work_cv = Condition.create ();
       idle_cv = Condition.create ();
-      available = 0;
       pending = 0;
       stop = false;
       domains = [||];
-      stats;
-      shared_obs;
-      submitted_c;
-      depth_g;
+      obs;
+      submitted_c = Obs.Registry.counter obs "sched.submitted";
+      jobs_c = Obs.Registry.counter obs "sched.jobs";
+      latency_h = Obs.Registry.histogram obs "sched.job_latency_ns";
+      depth_g = Obs.Registry.gauge obs "sched.queue_depth";
     }
   in
   t.domains <-
-    Array.init nworkers (fun ix -> Domain.spawn (fun () -> worker_loop t ix));
+    Array.init nworkers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let workers t = t.nworkers
@@ -301,11 +116,10 @@ let submit t f =
     Mutex.unlock t.m;
     invalid_arg "Scheduler.submit: scheduler is shut down"
   end;
-  Queue.push job t.injector;
-  t.available <- t.available + 1;
+  Queue.push job t.queue;
   t.pending <- t.pending + 1;
   Obs.Counter.incr t.submitted_c;
-  Obs.Gauge.set t.depth_g t.available;
+  Obs.Gauge.set t.depth_g (Queue.length t.queue);
   Condition.signal t.work_cv;
   Mutex.unlock t.m;
   p
@@ -351,11 +165,7 @@ let shutdown t =
   if not already then Array.iter Domain.join t.domains
 
 let telemetry t =
-  (* Meaningful at quiescent points (after [drain]): worker instruments
-     are plain int cells owned by their domains, so a mid-flight
-     snapshot is approximate, never torn. *)
   Mutex.lock t.m;
-  let shared = Obs.Registry.snapshot t.shared_obs in
+  let snap = Obs.Registry.snapshot t.obs in
   Mutex.unlock t.m;
-  Obs.merge_all
-    (shared :: Array.to_list (Array.map (fun s -> Obs.Registry.snapshot s.w_obs) t.stats))
+  snap

@@ -1,40 +1,32 @@
-(** A persistent work-stealing job scheduler over OCaml 5 domains.
+(** A persistent job scheduler over OCaml 5 domains.
 
     Where {!Parallel.map} is one-shot (spawn domains, deal one array,
     join), this is a service: a fixed pool of worker domains accepts
     jobs continuously through {!submit} — including while earlier jobs
     are still running — and hands each caller a {!promise} for its
-    result. [alchemist serve] and the sharded drivers are clients.
+    result. [alchemist serve] and [alchemist profile-all] are clients.
 
-    Topology: one global injector queue for submissions plus a deque
-    per worker. A worker runs jobs LIFO off its own deque; when empty
-    it steals the top {e half} of a sibling's deque, then falls back to
-    grabbing up to half of the injector in one batch. Batched handoff
-    fans a submission burst across the pool in O(log n) transfers, and
-    stealing keeps uneven job costs balanced without a central cursor.
+    One FIFO queue under one mutex: a worker that frees up takes the
+    oldest queued job, so jobs are taken in submission order, and uneven
+    job costs balance because no job waits behind a busy worker while
+    another is idle. With one worker, jobs also complete in submission
+    order.
 
-    Telemetry ({!telemetry}): per-worker [sched.jobs], [sched.steals],
-    [sched.steal_batches], [sched.injected] counters and a
-    [sched.job_latency_ns] submit-to-completion histogram (percentiles
-    via {!Obs.dist_percentile_upper}), merged with the shared
-    [sched.submitted] counter and [sched.queue_depth] /
-    [sched.workers] gauges. Worker instruments live on their own
-    domains, so snapshots are exact at quiescent points (after
-    {!drain}) and approximate — never torn — mid-flight.
-
-    What the counters count:
+    Telemetry ({!telemetry}) is one registry, updated under the
+    scheduler's mutex, so a snapshot is exact at any moment:
     - [sched.submitted]: jobs accepted by {!submit};
-    - [sched.injected]: jobs taken out of the injector by a worker's
-      batch grab. Every submission enters through the injector, so once
-      drained, [injected = submitted];
-    - [sched.jobs]: jobs executed; once drained, [jobs = submitted];
-    - [sched.steals]: job {e movements} between worker deques. A grabbed
-      batch is parked in the grabbing worker's deque and siblings steal
-      from there, so one job can be counted by [injected] and then once
-      per steal that moves it: [steals] is a migration signal, not a
-      per-job origin, and [injected + steals] may exceed [jobs];
-    - [sched.steal_batches]: successful steal attempts, each moving at
-      least one job, so [steals >= steal_batches]. *)
+    - [sched.jobs]: jobs a worker has taken to run, so
+      [submitted - jobs] is the queue depth;
+    - [sched.job_latency_ns]: a submit-to-completion histogram with one
+      entry per completed job (successfully or not), so [jobs] minus its
+      count is the number running; percentiles via
+      {!Obs.dist_percentile_upper};
+    - [sched.queue_depth]: jobs queued and not yet taken, with its
+      high-water mark;
+    - [sched.workers]: the pool size.
+
+    After {!drain}, [jobs = submitted] and the histogram counts them
+    all. *)
 
 type t
 
@@ -78,5 +70,4 @@ val shutdown : t -> unit
     the worker domains. Idempotent. *)
 
 val telemetry : t -> Obs.snapshot
-(** Merged scheduler metrics (see above). Take it at a quiescent point
-    (typically right after {!drain}) for exact counts. *)
+(** The scheduler metrics (see above). *)

@@ -1,9 +1,9 @@
-(* The profile-registry service: the control-plane logic shared by
-   [alchemist serve] and [alchemist profile-all].
+(* The profile-registry service: the control-plane logic of
+   [alchemist serve].
 
    One control thread (the caller) parses requests, consults the
-   content-addressed cache, and submits misses to the work-stealing
-   scheduler; worker domains only ever run the profiler. Replies keep
+   content-addressed cache, and submits misses to the scheduler's FIFO
+   queue; worker domains only ever run the profiler. Replies keep
    submission order: a FIFO of slots is harvested from the front, each
    slot either already resolved (parse error, cache hit) or waiting on
    a scheduler promise. Harvesting is where the cache insert and the
@@ -64,9 +64,6 @@ let create ?workers ?cache () =
     facts_computed_c = Obs.Registry.counter obs "service.facts_computed";
     facts_reused_c = Obs.Registry.counter obs "service.facts_reused";
   }
-
-let cache t = t.cache
-let scheduler t = t.sched
 
 let facts_for t prog code_fp =
   match Hashtbl.find_opt t.facts code_fp with

@@ -1,14 +1,14 @@
 (** The profile-registry service: request parsing, content-addressed
-    caching and incremental re-profiling over the work-stealing
-    {!Scheduler} — the engine behind [alchemist serve] and
-    [alchemist profile-all].
+    caching and incremental re-profiling over the {!Scheduler} pool —
+    the engine behind [alchemist serve].
 
     Single control thread (the caller) + worker domains: the control
     thread parses requests, consults the {!Cache}, memoizes static
     facts per code fingerprint ({!Alchemist.Profiler.prepare_facts} —
     reused when only a program's input data changes), and submits
-    cache misses to the scheduler. Replies come back in submission
-    order regardless of completion order; harvesting a reply performs
+    cache misses to the scheduler, whose workers take them in
+    submission order. Replies come back in submission order regardless
+    of completion order; harvesting a reply performs
     its cache insert and optional [save=] file write on the control
     thread, which is why the cache needs no locking.
 
@@ -87,9 +87,6 @@ val render_reply : reply -> string
 (** The serve wire format:
     [ok <seq> <spec> key=<key> <hit|disk-hit|miss> bytes=<n> [saved=<path>]]
     or [error <seq> <spec>: <message>]. *)
-
-val cache : t -> Cache.t
-val scheduler : t -> Scheduler.t
 
 val telemetry : t -> Obs.snapshot
 (** Service counters ([service.requests], [service.errors],

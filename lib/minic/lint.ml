@@ -134,16 +134,22 @@ let bind scopes i =
   match scopes with top :: rest -> (i :: top) :: rest | [] -> [ [ i ] ]
 
 (* Accesses to global scalars in the direct region, for the shared-write
-   lint. *)
+   lint. A local or parameter that shadows a global is not the global. *)
+let shared_scalar env x =
+  List.mem x env.scalars
+  && Option.fold ~none:false
+       ~some:(fun i -> i.kind = Global)
+       (resolve env.scopes x)
+
 let see_read env x =
   match env.region with
-  | Some l when List.mem x env.scalars && not (List.mem_assoc x l.first) ->
+  | Some l when shared_scalar env x && not (List.mem_assoc x l.first) ->
       l.first <- (x, Read) :: l.first
   | _ -> ()
 
 let see_write env x loc =
   match env.region with
-  | Some l when List.mem x env.scalars ->
+  | Some l when shared_scalar env x ->
       if not (List.mem_assoc x l.wrote) then l.wrote <- (x, loc) :: l.wrote;
       if not (env.guarded || List.mem_assoc x l.first) then
         l.first <- (x, Write) :: l.first

@@ -60,25 +60,30 @@ for spec in par2:64 aes:1024 delaunay:8000 bzip2:6000 ogg:800; do
 done
 echo "explore goldens: transcripts byte-identical"
 
-# Bad counts are usage errors: --cores below 1 and a negative --top must
-# be refused while the command line is parsed (cmdliner's exit code
-# 124, with the option named), not fail inside the simulator.
+# Bad counts are usage errors: --cores, -j/--jobs and --cache-capacity
+# below 1 and a negative --top must be refused while the command line is
+# parsed (cmdliner's exit code 124, with the option named), not fail
+# inside the simulator or run with a silently clamped pool. stdin is
+# /dev/null, so a serve that wrongly starts reads EOF and exits 0.
 for args in "explore workload:par2:64 --cores=0" \
             "explore workload:par2:64 --cores=-2" \
             "explore workload:par2:64 --top=-1" \
             "rank workload:par2:64 --top=-1" \
-            "simulate workload:par2:64 --loop-line 86 --cores=0"; do
+            "simulate workload:par2:64 --loop-line 86 --cores=0" \
+            "profile-all --test-scale -j 0" \
+            "serve --jobs=-3" \
+            "serve --cache-capacity 0"; do
   status=0
   # shellcheck disable=SC2086
-  dune exec --no-build -- alchemist $args > "$tmpdir/bad-count.out" 2>&1 \
-    || status=$?
+  dune exec --no-build -- alchemist $args < /dev/null \
+    > "$tmpdir/bad-count.out" 2>&1 || status=$?
   [ "$status" -eq 124 ] || {
     echo "alchemist $args: exit $status, expected a usage error" >&2
     exit 1
   }
   grep -q "must be at least" "$tmpdir/bad-count.out"
 done
-echo "count options: bad --cores/--top values refused as usage errors"
+echo "count options: bad --cores/--top/--jobs/--cache-capacity values refused as usage errors"
 
 # Bad workload scales: a SCALE that is not a positive integer must be
 # refused with a diagnostic naming it (exit 1), not crash (exit 125) or
@@ -319,6 +324,51 @@ grep -q ' miss ' "$tmpdir/corrupt.out" || {
 cmp "$tmpdir/corrupt-par2.prof" "$tmpdir/direct-par2.prof"
 cmp "$tmpdir/cache/$key.prof" "$tmpdir/direct-par2.prof"
 echo "serve cache: a corrupted entry is recomputed and rewritten"
+
+# serve --socket replaces only a stale socket: a regular file at PATH
+# must be refused (exit 1, the path named) and keep its contents. The
+# timeout bounds a serve that would instead delete it and listen.
+printf 'not a socket\n' > "$tmpdir/not-a-socket"
+status=0
+timeout 10 dune exec --no-build -- alchemist serve \
+  --socket "$tmpdir/not-a-socket" < /dev/null > "$tmpdir/socket.out" 2>&1 \
+  || status=$?
+[ "$status" -eq 1 ] || {
+  echo "serve --socket on a regular file: exit $status, expected 1" >&2
+  exit 1
+}
+grep -q "$tmpdir/not-a-socket" "$tmpdir/socket.out"
+[ "$(cat "$tmpdir/not-a-socket")" = "not a socket" ] || {
+  echo "serve --socket clobbered a regular file" >&2
+  exit 1
+}
+echo "serve socket: a regular file at PATH is refused and kept"
+
+# profile-all: the sharded registry sweep must save the same nine
+# profiles at -j 2 as at -j 1, and its telemetry must count every
+# workload as one submitted and one completed scheduler job.
+mkdir "$tmpdir/all-j2" "$tmpdir/all-j1"
+dune exec --no-build -- alchemist profile-all --test-scale -j 2 \
+  --save-dir "$tmpdir/all-j2" --telemetry > "$tmpdir/profile-all.out"
+dune exec --no-build -- alchemist profile-all --test-scale -j 1 \
+  --save-dir "$tmpdir/all-j1" > /dev/null
+[ "$(ls "$tmpdir/all-j2" | wc -l)" -eq 9 ] || {
+  echo "profile-all did not save nine profiles" >&2
+  exit 1
+}
+diff -r "$tmpdir/all-j2" "$tmpdir/all-j1"
+for name in sched.jobs sched.submitted; do
+  n=$(awk -v k="$name" '$1 == k { print $2 }' "$tmpdir/profile-all.out")
+  [ "$n" = 9 ] || {
+    echo "profile-all --telemetry: $name is '$n', expected 9" >&2
+    exit 1
+  }
+done
+if grep -q "sched.steals" "$tmpdir/profile-all.out"; then
+  echo "profile-all --telemetry still reports sched.steals" >&2
+  exit 1
+fi
+echo "profile-all: -j 2 and -j 1 save identical profiles, 9 scheduler jobs"
 
 # Paper artifacts: every bench section but the bechamel microbenches,
 # run from a scratch directory. The bench only prints (fig6 also writes

@@ -438,6 +438,8 @@ let test_lint_shared_global_write () =
       ("op-assign reduction", "g += i;");
       ("read-only global", "s = s + g;");
       ("local writes quiet", "int t; t = i; s = s + t;");
+      ( "loop-local shadows the global",
+        "int g = 0; if (i > 1) { g = i; } s = s + g;" );
     ];
   (* judged per innermost loop: the inner loop's write-first global is
      quiet even when scanned from the outer loop *)
@@ -452,6 +454,22 @@ let test_lint_shared_global_write () =
               }
               return g + s;
             }|})
+       "spawned iterations would race");
+  (* judged by scope, not by name: a parameter that shadows a global is
+     the callee's own copy *)
+  Alcotest.(check bool) "parameter shadows the global" false
+    (contains_lint
+       (lints
+          {|int g;
+            int s;
+            int f(int g) {
+              for (int i = 0; i < 4; i++) {
+                if (i > 1) { g = i; }
+                s = s + g;
+              }
+              return g;
+            }
+            int main() { return f(3) + g + s; }|})
        "spawned iterations would race")
 
 (* Every lint over the nine registry programs at their default scale,

@@ -1,6 +1,6 @@
-(* The work-stealing scheduler: result integrity under parallel
-   execution and stealing, error capture, the submit-while-running and
-   drain/shutdown lifecycle, and the sched.* telemetry invariants. *)
+(* The job scheduler: result integrity under parallel execution, FIFO
+   order, error capture, the submit-while-running and drain/shutdown
+   lifecycle, and the sched.* telemetry invariants. *)
 
 module Scheduler = Driver.Scheduler
 
@@ -21,8 +21,8 @@ let test_submit_await_all () =
   Scheduler.shutdown s
 
 let test_uneven_costs_balance () =
-  (* one huge item among many tiny ones: stealing must not strand the
-     tail behind it *)
+  (* one huge item among many tiny ones: the tail must not be stranded
+     behind it *)
   let s = Scheduler.create ~workers:3 () in
   let work i =
     let n = if i = 0 then 300_000 else 50 in
@@ -131,16 +131,6 @@ let test_telemetry_invariants () =
   check Alcotest.int "every submission executed exactly once" n
     (count "sched.jobs");
   check Alcotest.int "submitted counter" n (count "sched.submitted");
-  (* every job enters through the injector exactly once; a steal moves a
-     job between deques, possibly one already counted as injected, so
-     steals count movements and are bounded below by their batches *)
-  check Alcotest.int "injected = submitted" (count "sched.submitted")
-    (count "sched.injected");
-  check Alcotest.int "injected = executed" (count "sched.jobs")
-    (count "sched.injected");
-  check Alcotest.bool "steals >= steal batches" true
-    (count "sched.steals" >= count "sched.steal_batches"
-    && count "sched.steal_batches" >= 0);
   check Alcotest.bool "latency histogram saw every job" true
     (match Obs.find snap "sched.job_latency_ns" with
     | Some (Obs.Dist { count = c; _ }) -> c = n
@@ -150,6 +140,68 @@ let test_telemetry_invariants () =
       check Alcotest.int "queue empty after drain" 0 last;
       check Alcotest.bool "queue depth hwm observed" true (hwm > 0)
   | _ -> Alcotest.fail "no queue_depth gauge")
+
+let test_fifo_order () =
+  (* one worker takes jobs oldest first, so they run in submission
+     order; only that worker writes the log, and drain publishes it *)
+  let s = Scheduler.create ~workers:1 () in
+  let log = ref [] in
+  let n = 50 in
+  for i = 0 to n - 1 do
+    ignore (Scheduler.submit s (fun () -> log := i :: !log))
+  done;
+  Scheduler.drain s;
+  check
+    Alcotest.(list int)
+    "jobs ran in submission order" (List.init n Fun.id) (List.rev !log);
+  Scheduler.shutdown s
+
+let test_telemetry_mid_flight () =
+  (* one registry under the scheduler's mutex: a snapshot taken while
+     the only worker is blocked in a job counts exactly, not only after
+     drain *)
+  let s = Scheduler.create ~workers:1 () in
+  let started = Atomic.make false and release = Atomic.make false in
+  let blocker =
+    Scheduler.submit s (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let queued = List.init 3 (fun i -> Scheduler.submit s (fun () -> i)) in
+  let snap = Scheduler.telemetry s in
+  let count snap name =
+    Option.value ~default:(-1) (Obs.find_count snap name)
+  in
+  let depth snap =
+    match Obs.find snap "sched.queue_depth" with
+    | Some (Obs.Level { last; _ }) -> last
+    | _ -> -1
+  in
+  let completed snap =
+    match Obs.find snap "sched.job_latency_ns" with
+    | Some (Obs.Dist { count; _ }) -> count
+    | _ -> -1
+  in
+  check Alcotest.int "submitted mid-flight" 4 (count snap "sched.submitted");
+  check Alcotest.int "only the blocker taken" 1 (count snap "sched.jobs");
+  check Alcotest.int "three queued behind the blocker" 3 (depth snap);
+  check Alcotest.int "none completed mid-flight" 0 (completed snap);
+  Atomic.set release true;
+  Scheduler.await blocker;
+  List.iteri
+    (fun i p -> check Alcotest.int "queued job" i (Scheduler.await p))
+    queued;
+  Scheduler.drain s;
+  let snap = Scheduler.telemetry s in
+  check Alcotest.int "all taken" 4 (count snap "sched.jobs");
+  check Alcotest.int "all completed" 4 (completed snap);
+  check Alcotest.int "queue empty" 0 (depth snap);
+  Scheduler.shutdown s
 
 let test_many_workers_stress () =
   (* more workers than jobs, then more jobs than workers, repeatedly —
@@ -173,5 +225,7 @@ let suite =
     ("poll and drain", `Quick, test_poll_and_drain);
     ("shutdown semantics", `Quick, test_shutdown_semantics);
     ("telemetry invariants", `Quick, test_telemetry_invariants);
+    ("FIFO order", `Quick, test_fifo_order);
+    ("telemetry exact mid-flight", `Quick, test_telemetry_mid_flight);
     ("lost-wakeup stress", `Quick, test_many_workers_stress);
   ]
