@@ -649,14 +649,29 @@ let serve_cmd =
         (match socket with
         | None -> serve_channel stdin stdout
         | Some path ->
+            (* Set-up failures name PATH and exit 1 through
+               [handle_errors], never as an uncaught exception. *)
+            let fail fn e =
+              raise
+                (Sys_error
+                   (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e)))
+            in
             (* Only a socket (a previous serve's) is ours to replace. *)
             (match Unix.lstat path with
             | { Unix.st_kind = Unix.S_SOCK; _ } -> Sys.remove path
             | _ -> raise (Sys_error (path ^ ": exists and is not a socket"))
-            | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-            let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.bind sock (Unix.ADDR_UNIX path);
-            Unix.listen sock 8;
+            | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+            | exception Unix.Unix_error (e, fn, _) -> fail fn e);
+            let sock =
+              try Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
+              with Unix.Unix_error (e, fn, _) -> fail fn e
+            in
+            (try
+               Unix.bind sock (Unix.ADDR_UNIX path);
+               Unix.listen sock 8
+             with Unix.Unix_error (e, fn, _) ->
+               (try Unix.close sock with Unix.Unix_error _ -> ());
+               fail fn e);
             let rec accept_loop () =
               let fd, _ = Unix.accept sock in
               let ic = Unix.in_channel_of_descr fd in

@@ -605,6 +605,18 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             tick ();
             if st.depth >= st.max_depth then
               VS.trap st epc "call stack overflow";
+            (* Arguments are read in the caller's frame, before
+               [frame_base] moves: a local-array argument ([RefL]) is
+               the caller's array. Register reads hit the caller window
+               and writes the (disjoint) callee window, so no buffering
+               is needed. *)
+            let wb = xs.rtop in
+            ensure_regs (wb + wsize);
+            Array.fill xs.regs wb wsize 0;
+            for i = 0 to nargs - 1 do
+              xs.regs.(wb + Array.unsafe_get aslots i) <-
+                (Array.unsafe_get agets i) ()
+            done;
             let d = st.depth in
             if d = Array.length st.call_ret then VS.grow_call_records st;
             if d >= Array.length xs.c_rb then grow_crec ();
@@ -626,15 +638,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             if st.depth > st.depth_hwm then st.depth_hwm <- st.depth;
             if st.stack_top > st.mem_hwm then st.mem_hwm <- st.stack_top;
             if hooked then ev_call ~pc:fentry ~fid:cfid;
-            let wb = xs.rtop in
-            ensure_regs (wb + wsize);
-            Array.fill xs.regs wb wsize 0;
-            (* argument reads hit the caller window, writes the (disjoint)
-               callee window — no buffering needed *)
-            for i = 0 to nargs - 1 do
-              xs.regs.(wb + Array.unsafe_get aslots i) <-
-                (Array.unsafe_get agets i) ()
-            done;
             xs.rb <- wb;
             xs.rtop <- wb + wsize;
             centry

@@ -3,16 +3,20 @@
    by {!Exec} after {!Regalloc} maps virtual registers onto a window of
    physical slots.
 
-   Virtual register space of a function with [frame_slots] locals and a
+   Virtual register space of a function with [nl] scalar slots (its
+   parameters plus every slot a [LoadLocal]/[StoreLocal] names) and a
    maximum operand-stack depth [maxd]:
 
-   - [0 .. frame_slots-1]: the scalar frame slots ("L registers") — the
-     canonical, always-current value of each local. Frame memory is only
-     synchronized on deoptimization.
-   - [frame_slots .. frame_slots+maxd-1]: the canonical stack registers
-     ("S registers") — at every block boundary the operand stack of
-     depth [d] lives in S_0..S_{d-1}, which is what makes the symbolic
-     stacks of predecessor blocks meet.
+   - [0 .. nl-1]: the scalar frame slots ("L registers"), parameters
+     first (parameter [i] is vreg [i]), then the other named slots in
+     slot order — the canonical, always-current value of each local.
+     Frame memory is only synchronized on deoptimization. Local-array
+     cells get no register: they live in frame memory, reached through
+     [RefL] operands.
+   - [nl .. nl+maxd-1]: the canonical stack registers ("S registers") —
+     at every block boundary the operand stack of depth [d] lives in
+     S_0..S_{d-1}, which is what makes the symbolic stacks of
+     predecessor blocks meet.
    - above that: block-local SSA temporaries.
 
    Hook transparency is carried by {e tick segments}: every instruction
@@ -57,6 +61,8 @@ type deopt = {
 type call_info = {
   ci_fid : int;
   ci_args : operand array;
+      (** caller operands, read in the caller's frame (a [RefL] argument
+          is the caller's array) and written to callee vregs [0..n-1] *)
   ci_atags : string;  (** static tag per argument *)
   ci_dst : int;  (** caller vreg receiving the return value *)
   ci_ret_pc : int;  (** stack return pc (call pc + 1) *)

@@ -56,10 +56,50 @@ let stack_effect (funcs : Vm.Program.func_info array) (i : Vm.Instr.t) =
   | Ret -> (1, 0)
   | Halt -> raise Bail
 
+(* ---- scalar frame slots -> L registers ---------------------------------
+
+   Only the slots a [LoadLocal]/[StoreLocal] names get a virtual
+   register: a local array's cells stay in frame memory, reached through
+   [RefL] operands. The parameters come first, so parameter [i] is vreg
+   [i] ({!Exec}'s [CallI] writes argument [i] there, and {!Regalloc}
+   models the parameters' entry interference on vregs [0..nparams-1]);
+   the other named slots follow in slot order. Everything sized by the L
+   registers (the slot types, slot liveness, the flush sets and the
+   interference matrix) then grows with the code, never with the extent
+   of a local array. *)
+
+type lregs = {
+  slot_of : int array;  (** L vreg -> frame slot *)
+  vreg_of : (int, int) Hashtbl.t;  (** named frame slot -> L vreg *)
+}
+
+let scalar_slots (prog : Vm.Program.t) (f : Vm.Program.func_info) =
+  let named = Hashtbl.create 16 in
+  for pc = f.entry to f.code_end - 1 do
+    match prog.code.(pc) with
+    | Vm.Instr.LoadLocal s | StoreLocal s ->
+        if s < 0 || s >= f.frame_slots then raise Bail;
+        Hashtbl.replace named s ()
+    | _ -> ()
+  done;
+  (* a scalar slot must not be address-taken via a local array ref *)
+  let covered = Vm.Ranges.local_refs prog f in
+  Hashtbl.iter (fun s () -> if Vm.Ranges.mem covered s then raise Bail) named;
+  for s = 0 to f.nparams - 1 do
+    Hashtbl.replace named s ()
+  done;
+  let slot_of = Array.of_seq (Hashtbl.to_seq_keys named) in
+  Array.sort Int.compare slot_of;
+  let vreg_of = Hashtbl.create (Array.length slot_of) in
+  Array.iteri (fun v s -> Hashtbl.replace vreg_of s v) slot_of;
+  { slot_of; vreg_of }
+
+let vreg lr s = Hashtbl.find lr.vreg_of s
+
 (* ---- whole-program type analysis ---------------------------------------
 
    A tiny three-point lattice ('i' < '?', 'r' < '?') over stack entries,
-   frame slots, the global scalar cells, the array cells, and function
+   L registers, the global scalar cells, the array cells, and function
    returns, iterated to a program-wide fixpoint. In well-typed Mini-C
    everything but refs comes out 'i', which is what lets the emitter
    elide almost every runtime tag check. *)
@@ -77,25 +117,30 @@ type tstate = {
   mutable gscalar : char;
   mutable cells : char;
   fret : char array;
-  slot_ty : char array array;  (** per fid, per slot *)
+  lregs : lregs array;  (** per fid *)
+  slot_ty : char array array;  (** per fid, per L register *)
   fs : fstate array;
   mutable dirty : bool;
 }
 
 let analyze_types (prog : Vm.Program.t) =
   let funcs = prog.funcs in
+  let lregs = Array.map (scalar_slots prog) funcs in
   let ts =
     {
       gscalar = ty_int;
       cells = ty_int;
       fret = Array.make (Array.length funcs) ty_int;
+      lregs;
       slot_ty =
-        Array.map
-          (fun (f : Vm.Program.func_info) ->
-            Array.init f.frame_slots (fun s ->
+        Array.map2
+          (fun (f : Vm.Program.func_info) lr ->
+            Array.map
+              (fun s ->
                 if s < f.nparams && f.param_is_array.(s) then ty_ref
-                else ty_int))
-          funcs;
+                else ty_int)
+              lr.slot_of)
+          funcs lregs;
       fs =
         Array.map
           (fun (f : Vm.Program.func_info) ->
@@ -115,6 +160,7 @@ let analyze_types (prog : Vm.Program.t) =
   let step_func (f : Vm.Program.func_info) (fst_ : fstate) =
     let cfg = fst_.cfg in
     let code = prog.code in
+    let lr = ts.lregs.(f.fid) and tys = ts.slot_ty.(f.fid) in
     (* seed the entry block *)
     if fst_.entry_d.(cfg.Cfa.Cfg.entry_bid) < 0 then begin
       fst_.entry_d.(cfg.Cfa.Cfg.entry_bid) <- 0;
@@ -162,13 +208,10 @@ let analyze_types (prog : Vm.Program.t) =
           for pc = b.first to b.last do
             match code.(pc) with
             | Vm.Instr.Const _ -> push ty_int
-            | LoadLocal s ->
-                if s >= f.frame_slots then raise Bail;
-                push ts.slot_ty.(f.fid).(s)
+            | LoadLocal s -> push tys.(vreg lr s)
             | StoreLocal s ->
-                if s >= f.frame_slots then raise Bail;
-                let v = pop () in
-                ts.slot_ty.(f.fid).(s) <- raise_ty ts.slot_ty.(f.fid).(s) v
+                let v = pop () and l = vreg lr s in
+                tys.(l) <- raise_ty tys.(l) v
             | LoadGlobal _ -> push ts.gscalar
             | StoreGlobal _ ->
                 let v = pop () in
@@ -201,8 +244,9 @@ let analyze_types (prog : Vm.Program.t) =
                 push y
             | Call fid ->
                 let callee = prog.funcs.(fid) in
-                (* argument tags flow into the callee's parameter slots;
-                   the k-th pop (top first) is parameter [nparams-1-k] *)
+                (* argument tags flow into the callee's parameter
+                   registers; the k-th pop (top first) is parameter
+                   [nparams-1-k], which is L register [nparams-1-k] *)
                 for k = 0 to callee.nparams - 1 do
                   let v = pop () in
                   let s = callee.nparams - 1 - k in
@@ -234,19 +278,19 @@ let analyze_types (prog : Vm.Program.t) =
   done;
   ts
 
-(* ---- stack-level liveness of frame slots -------------------------------
+(* ---- stack-level liveness of the L registers ---------------------------
 
-   [live.(pc).(s)] = slot [s] is read (via LoadLocal) before being
-   overwritten on some path from [pc]. Used for the deopt flush sets:
-   only live slots need their register value synchronized into frame
-   memory before handing off to the switch interpreter — dead slots are
-   rewritten before the reference could read them. *)
+   [live.(pc).(v)] = L register [v]'s slot is read (via LoadLocal)
+   before being overwritten on some path from [pc]. Used for the deopt
+   flush sets: only live slots need their register value synchronized
+   into frame memory before handing off to the switch interpreter —
+   dead slots are rewritten before the reference could read them. *)
 
 let local_liveness (prog : Vm.Program.t) (f : Vm.Program.func_info)
-    (cfg : Cfa.Cfg.t) =
+    (cfg : Cfa.Cfg.t) (lr : lregs) =
   let code = prog.code in
   let n = f.code_end - f.entry in
-  let ns = f.frame_slots in
+  let ns = Array.length lr.slot_of in
   let live = Array.init n (fun _ -> Bytes.make ns '\000') in
   let blocks = cfg.Cfa.Cfg.blocks in
   let changed = ref true in
@@ -267,8 +311,8 @@ let local_liveness (prog : Vm.Program.t) (f : Vm.Program.func_info)
       for pc = b.last downto b.first do
         let nxt = Bytes.copy !cur in
         (match code.(pc) with
-        | Vm.Instr.LoadLocal s -> Bytes.set nxt s '\001'
-        | StoreLocal s -> Bytes.set nxt s '\000'
+        | Vm.Instr.LoadLocal s -> Bytes.set nxt (vreg lr s) '\001'
+        | StoreLocal s -> Bytes.set nxt (vreg lr s) '\000'
         | _ -> ());
         let idx = pc - f.entry in
         if not (Bytes.equal nxt live.(idx)) then begin
@@ -295,33 +339,18 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
   let code = prog.code in
   let fst_ = ts.fs.(f.fid) in
   let cfg = fst_.cfg in
-  (* scalar slots must not be address-taken via a local array ref *)
-  let refcov = Array.make f.frame_slots false in
-  for pc = f.entry to f.code_end - 1 do
-    match code.(pc) with
-    | Vm.Instr.MakeRefLocal (off, len) ->
-        for s = off to min (off + len) f.frame_slots - 1 do
-          refcov.(s) <- true
-        done
-    | _ -> ()
-  done;
-  for pc = f.entry to f.code_end - 1 do
-    match code.(pc) with
-    | Vm.Instr.LoadLocal s | StoreLocal s ->
-        if s < f.frame_slots && refcov.(s) then raise Bail
-    | _ -> ()
-  done;
-  let live = local_liveness prog f cfg in
+  let lr = ts.lregs.(f.fid) and tys = ts.slot_ty.(f.fid) in
+  let live = local_liveness prog f cfg lr in
   let flush_at pc =
     let idx = pc - f.entry in
     let acc = ref [] in
-    for s = f.frame_slots - 1 downto 0 do
-      if (not refcov.(s)) && Bytes.get live.(idx) s = '\001' then
-        acc := (s, s, ts.slot_ty.(f.fid).(s)) :: !acc
+    for v = Array.length lr.slot_of - 1 downto 0 do
+      if Bytes.get live.(idx) v = '\001' then
+        acc := (lr.slot_of.(v), v, tys.(v)) :: !acc
     done;
     Array.of_list !acc
   in
-  let sbase = f.frame_slots in
+  let sbase = Array.length lr.slot_of in
   let em =
     {
       out = [];
@@ -412,14 +441,13 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
           seg_lo := pc + 1;
           snapshot := !sym
         in
-        let materialize s ~pc =
-          if List.exists (fun (o, _) -> o = Reg s) !sym then begin
+        let materialize v ~pc =
+          if List.exists (fun (o, _) -> o = Reg v) !sym then begin
             let t = newtmp () in
-            let ty = ts.slot_ty.(f.fid).(s) in
-            emit_pure (Mov { dst = t; src = Reg s; ty }) ~epc:pc;
+            emit_pure (Mov { dst = t; src = Reg v; ty = tys.(v) }) ~epc:pc;
             sym :=
               List.map
-                (fun (o, tyo) -> if o = Reg s then (Reg t, tyo) else (o, tyo))
+                (fun (o, tyo) -> if o = Reg v then (Reg t, tyo) else (o, tyo))
                 !sym
           end
         in
@@ -457,11 +485,14 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
         for pc = b.first to b.last do
           match code.(pc) with
           | Vm.Instr.Const n -> push (Imm n, ty_int)
-          | LoadLocal s -> push (Reg s, ts.slot_ty.(f.fid).(s))
+          | LoadLocal s ->
+              let l = vreg lr s in
+              push (Reg l, tys.(l))
           | StoreLocal s ->
-              materialize s ~pc;
+              let l = vreg lr s in
+              materialize l ~pc;
               let v, vty = pop () in
-              emit_seg (Mov { dst = s; src = v; ty = vty }) ~pc
+              emit_seg (Mov { dst = l; src = v; ty = vty }) ~pc
           | LoadGlobal addr ->
               let t = newtmp () in
               let gty = ts.gscalar in

@@ -15,6 +15,9 @@ type info = {
 let resolve scopes name =
   List.find_map (List.find_opt (fun i -> i.name = name)) scopes
 
+let is_global scopes name =
+  Option.fold ~none:false ~some:(fun i -> i.kind = Global) (resolve scopes name)
+
 let mark_read scopes name =
   Option.iter (fun i -> i.read <- true) (resolve scopes name)
 
@@ -89,8 +92,10 @@ type loop = {
           and declarations (a [DeclScalar] re-initializes every
           iteration); nested loops' included *)
   mutable has_call : bool;  (** any call in the loop, nested loops' too *)
-  mutable subscripts : (string * Ast.expr) list;
-      (** subscripts whose innermost loop this is, judged at loop exit *)
+  mutable subscripts : (string * Ast.expr * info list list) list;
+      (** subscripts whose innermost loop this is, with the scopes in
+          force where each appears (a loop-body local is out of scope by
+          the time the loop exits), judged at loop exit *)
   mutable passed : (string * string) list;
       (** (x, f): callee [f] receives [x] as a bare argument (the
           by-reference escape the usage lint also assumes); nested
@@ -112,7 +117,6 @@ type env = {
           one, except in a [for] init, which runs once before its loop
           and so belongs to no loop's region *)
   guarded : bool;  (** under an [if] within that region *)
-  globals : string list;
   scalars : string list;  (** the scalar globals *)
   infos : info list ref;  (** every declaration, newest first *)
   warnings : Diag.warning list ref;  (** the loop-shape warnings *)
@@ -135,11 +139,7 @@ let bind scopes i =
 
 (* Accesses to global scalars in the direct region, for the shared-write
    lint. A local or parameter that shadows a global is not the global. *)
-let shared_scalar env x =
-  List.mem x env.scalars
-  && Option.fold ~none:false
-       ~some:(fun i -> i.kind = Global)
-       (resolve env.scopes x)
+let shared_scalar env x = List.mem x env.scalars && is_global env.scopes x
 
 let see_read env x =
   match env.region with
@@ -163,7 +163,7 @@ let rec expr env (e : Ast.expr) =
       see_read env x
   | Index (a, i) ->
       mark_read env.scopes a;
-      in_loop env (fun l -> l.subscripts <- (a, i) :: l.subscripts);
+      in_loop env (fun l -> l.subscripts <- (a, i, env.scopes) :: l.subscripts);
       expr env i
   | Unop (_, e) -> expr env e
   | Binop (_, a, b) ->
@@ -208,7 +208,7 @@ let assign env (s : Ast.stmt) ~update lv e =
           info.written <- true;
           if update || info.kind = Param then info.read <- true)
         (resolve env.scopes a);
-      in_loop env (fun l -> l.subscripts <- (a, i) :: l.subscripts);
+      in_loop env (fun l -> l.subscripts <- (a, i, env.scopes) :: l.subscripts);
       expr env i);
   match (reduction_shape s, env.region) with
   | Some (x, op), Some l -> l.accums <- (x, op, s.sloc) :: l.accums
@@ -217,24 +217,25 @@ let assign env (s : Ast.stmt) ~update lv e =
 let leave env l =
   (* [Some vars] when every variable the subscript reads is provably
      unchanged across iterations; [None] when anything blocks the proof
-     (a call, an array cell, or an assigned/unprovable variable). *)
-  let rec invariant_vars (e : Ast.expr) =
+     (a call with a global in [scopes], an array cell, or an
+     assigned/unprovable variable). *)
+  let rec invariant_vars scopes (e : Ast.expr) =
     match e.edesc with
     | Ast.IntLit _ -> Some []
     | Ast.Var x ->
         if List.mem x l.assigned then None
-        else if l.has_call && List.mem x env.globals then None
+        else if l.has_call && is_global scopes x then None
         else Some [ x ]
     | Ast.Index _ | Ast.Call _ -> None
-    | Ast.Unop (_, a) -> invariant_vars a
+    | Ast.Unop (_, a) -> invariant_vars scopes a
     | Ast.Binop (_, a, b) -> (
-        match (invariant_vars a, invariant_vars b) with
+        match (invariant_vars scopes a, invariant_vars scopes b) with
         | Some va, Some vb -> Some (va @ vb)
         | _ -> None)
   in
   List.iter
-    (fun (name, (i : Ast.expr)) ->
-      match invariant_vars i with
+    (fun (name, (i : Ast.expr), scopes) ->
+      match invariant_vars scopes i with
       | Some (_ :: _ as vars) ->
           let vars = List.sort_uniq compare vars in
           warn env i.eloc
@@ -369,7 +370,6 @@ let program (p : Ast.program) =
       loops = [];
       region = None;
       guarded = false;
-      globals = List.map Ast.global_name p.globals;
       scalars =
         List.filter_map
           (function Ast.GScalar (n, _, _) -> Some n | Ast.GArray _ -> None)

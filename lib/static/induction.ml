@@ -78,27 +78,27 @@ exception Degrade
 
 (* ---- write-once constant globals ---------------------------------------- *)
 
+(* Coverage keeps the [MakeRefGlobal] ranges, not their cells: a
+   registry program passes 25K-229K cells by reference against a few
+   hundred instructions, and only the few write-once candidates are
+   ever tested. *)
 let const_globals (prog : Vm.Program.t) =
   let stores = Hashtbl.create 16 in
-  let ref_covered = Hashtbl.create 16 in
   Array.iteri
     (fun pc instr ->
       match instr with
       | Vm.Instr.StoreGlobal a ->
           Hashtbl.replace stores a
             (pc :: Option.value ~default:[] (Hashtbl.find_opt stores a))
-      | Vm.Instr.MakeRefGlobal (base, len) ->
-          for a = base to base + len - 1 do
-            Hashtbl.replace ref_covered a ()
-          done
       | _ -> ())
     prog.code;
+  let ref_covered = Vm.Ranges.global_refs prog in
   let const_global = Hashtbl.create 16 in
   let const_store_pc = Hashtbl.create 16 in
   Hashtbl.iter
     (fun a sites ->
       match sites with
-      | [ pc ] when pc > 0 && not (Hashtbl.mem ref_covered a) -> (
+      | [ pc ] when pc > 0 && not (Vm.Ranges.mem ref_covered a) -> (
           match prog.code.(pc - 1) with
           | Vm.Instr.Const k ->
               Hashtbl.replace const_global a k;
@@ -133,22 +133,6 @@ let const_at t ~load_pc a =
   | _ -> None
 
 (* ---- induction-variable recognition ------------------------------------- *)
-
-(* Local slots that may be aliased by a local-array reference: an
-   indexed store through [MakeRefLocal] could write them, so they can
-   never be trusted as scalar induction variables (calls, by contrast,
-   cannot write caller locals). *)
-let ref_covered_slots (prog : Vm.Program.t) (f : Vm.Program.func_info) =
-  let covered = Hashtbl.create 4 in
-  for pc = f.entry to f.code_end - 1 do
-    match prog.code.(pc) with
-    | Vm.Instr.MakeRefLocal (off, len) ->
-        for s = off to off + len - 1 do
-          Hashtbl.replace covered s ()
-        done
-    | _ -> ()
-  done;
-  covered
 
 (* The recognized update shape: [s := s + c] / [s := s - c] (either
    operand order for [+]). Returns the step. *)
@@ -309,7 +293,7 @@ let loop_ivs t (prog : Vm.Program.t) (cfg : Cfa.Cfg.t) dom depth_of
       Hashtbl.fold
         (fun slot sites acc ->
           match sites with
-          | [ store_pc ] when not (Hashtbl.mem covered slot) -> (
+          | [ store_pc ] when not (Vm.Ranges.mem covered slot) -> (
               match update_step prog.code ~store_pc ~slot with
               | Some step when step <> 0 ->
                   let ub = (Cfa.Cfg.block_at cfg store_pc).Cfa.Cfg.bid in
@@ -555,7 +539,11 @@ let analyze (prog : Vm.Program.t) =
         let dom = Cfa.Dominance.of_cfg cfg in
         let nl = Cfa.Analysis.loops_of prog cfg dom in
         let depth_of bid = nl.Cfa.Loops.depth.(bid) in
-        let covered = ref_covered_slots prog f in
+        (* Local slots a local-array reference may alias: an indexed
+           store through [MakeRefLocal] could write them, so they are
+           never trusted as scalar induction variables (calls, by
+           contrast, cannot write caller locals). *)
+        let covered = Vm.Ranges.local_refs prog f in
         (* Structural facts first — published early so [const_at] can
            resolve same-function dominance for trip bounds — then the
            CFG fixpoint for subscripts. *)

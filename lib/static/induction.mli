@@ -14,7 +14,12 @@
       trip / value-range when the loop bound is visible;
     - {b affine subscripts} — a per-function abstract interpretation of
       the operand stack recording [mul*slot + add] (or a constant) for
-      the index operand of each [LoadIndex]/[StoreIndex]. *)
+      the index operand of each [LoadIndex]/[StoreIndex].
+
+    Array-reference coverage (a [MakeRefGlobal] range for the constant
+    globals, a [MakeRefLocal] range for induction candidates) is tested
+    against the ranges themselves ({!Vm.Ranges}), so the analysis costs
+    what the code does, whatever the arrays span. *)
 
 type av = Top | Cst of int | Aff of { slot : int; mul : int; add : int }
 

@@ -43,6 +43,43 @@ spills=$(dune exec --no-build -- alchemist profile workload:gzip-1.3.5:2 \
 [ "$spills" -eq 0 ] || { echo "regalloc spilled on gzip: $spills" >&2; exit 1; }
 echo "regalloc sanity: 0 spills on gzip"
 
+# Array extents: static analysis and register-engine set-up cost what
+# the code does, not what the arrays span. verify of a program that
+# passes a 2^24-cell global array by reference must finish well inside
+# the timeout; a program that passes a 2^18-cell local array must run
+# on the default engine and print what the switch interpreter prints
+# (exit value, output and instruction count).
+cat > "$tmpdir/global-extent.mc" <<'MC'
+int g[16777216];
+int sum(int a[], int n) {
+  int s = 0;
+  for (int i = 0; i < n; i++) { s = s + a[i]; a[i] = s; }
+  return s;
+}
+int main() { return sum(g, 16); }
+MC
+timeout 10 dune exec --no-build -- alchemist verify "$tmpdir/global-extent.mc" \
+  > /dev/null
+cat > "$tmpdir/local-extent.mc" <<'MC'
+int sum(int a[], int n) {
+  int s = 0;
+  for (int i = 0; i < n; i++) { s = s + a[i]; }
+  return s;
+}
+int main() {
+  int big[262144];
+  for (int i = 0; i < 262144; i++) { big[i] = i & 7; }
+  print(sum(big, 262144));
+  return sum(big, 16);
+}
+MC
+timeout 10 dune exec --no-build -- alchemist run "$tmpdir/local-extent.mc" \
+  > "$tmpdir/local-register.out"
+timeout 10 dune exec --no-build -- alchemist run --engine=switch \
+  "$tmpdir/local-extent.mc" > "$tmpdir/local-switch.out"
+cmp "$tmpdir/local-register.out" "$tmpdir/local-switch.out"
+echo "array extents: 2^24-cell global verified, 2^18-cell local runs as on switch"
+
 # Explore goldens: `explore` must print exactly the transcripts saved
 # in test/golden. par2, aes and delaunay were recorded when every
 # simulated candidate still got an instrumented run of its own; bzip2
@@ -343,6 +380,20 @@ grep -q "$tmpdir/not-a-socket" "$tmpdir/socket.out"
   exit 1
 }
 echo "serve socket: a regular file at PATH is refused and kept"
+
+# serve --socket set-up failures are diagnostics: when PATH's directory
+# does not exist, bind fails, and serve must name PATH and exit 1 rather
+# than die of an uncaught exception (exit 125).
+status=0
+timeout 10 dune exec --no-build -- alchemist serve \
+  --socket "$tmpdir/no-such-dir/x.sock" < /dev/null \
+  > "$tmpdir/socket-bind.out" 2>&1 || status=$?
+[ "$status" -eq 1 ] || {
+  echo "serve --socket in a missing directory: exit $status, expected 1" >&2
+  exit 1
+}
+grep -q "$tmpdir/no-such-dir/x.sock" "$tmpdir/socket-bind.out"
+echo "serve socket: a bind failure names PATH and exits 1"
 
 # profile-all: the sharded registry sweep must save the same nine
 # profiles at -j 2 as at -j 1, and its telemetry must count every

@@ -483,6 +483,91 @@ let test_churn_profile () =
   Alcotest.(check string) "churn register" reference
     (Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile)
 
+(* --- local arrays across calls -------------------------------------------- *)
+
+(* A local array passed to a call is the caller's array: the register
+   engine must read call arguments in the caller's frame, before
+   [frame_base] moves to the callee's. Three shapes: a direct pass, a
+   parameter forwarded to a second callee, and a recursion that hands
+   each activation's own local array down. The expected exit values are
+   the switch interpreter's. *)
+let local_array_cases =
+  [
+    ( "local array argument",
+      12,
+      "int sum(int a[], int k) {\n\
+      \  int s = 0; int i;\n\
+      \  for (i = 0; i < k; i = i + 1) { s = s + a[i]; }\n\
+      \  return s;\n\
+       }\n\
+       int main() { int buf[8]; buf[0] = 5; buf[1] = 7; return sum(buf, 2); }" );
+    ( "forwarded array parameter",
+      13,
+      "int inner(int a[], int k) { return a[k]; }\n\
+       int outer(int a[], int k) { a[k] = a[k] + 1; return inner(a, k) + a[0]; }\n\
+       int main() { int buf[4]; buf[0] = 3; buf[2] = 9; return outer(buf, 2); }" );
+    ( "recursion with a local array",
+      115,
+      "int rec(int n, int up[]) {\n\
+      \  int mine[4];\n\
+      \  mine[0] = up[0] + n;\n\
+      \  if (n == 0) { return mine[0]; }\n\
+      \  return rec(n - 1, mine);\n\
+       }\n\
+       int main() { int base[4]; base[0] = 100; return rec(5, base); }" );
+  ]
+
+let test_local_array_calls () =
+  List.iter
+    (fun (name, expected, src) ->
+      let prog = Vm.Compile.compile_source src in
+      let sw = Ir.Engine.run ~engine:Switch ~fuel prog in
+      Alcotest.(check int) (name ^ ": switch exit") expected sw.exit_value;
+      check_same_result (name ^ " register") sw (Ir.Engine.run ~fuel prog);
+      Alcotest.(check string) (name ^ ": event stream")
+        (event_log ~engine:Switch ~trace_locals:false prog)
+        (event_log ~engine:Register ~trace_locals:false prog);
+      Alcotest.(check string) (name ^ ": profile")
+        (Alchemist.Profile_io.to_string
+           (Profiler.run ~engine:Switch ~fuel prog).Profiler.profile)
+        (Alchemist.Profile_io.to_string
+           (Profiler.run ~fuel prog).Profiler.profile))
+    local_array_cases
+
+(* Set-up cost follows the code, not the data: a local array's cells get
+   no virtual register, so a 16,384-cell array adds nothing to slot
+   liveness, the flush sets or the interference matrix (with a register
+   per cell, the matrix alone would be 16,384^2 bytes). Allocation
+   counts are deterministic; nothing here is timed. *)
+let test_lowering_extent_independent () =
+  let src =
+    "int sum(int a[], int n) {\n\
+    \  int i; int s = 0;\n\
+    \  for (i = 0; i < n; i = i + 1) { s = s + a[i]; }\n\
+    \  return s;\n\
+     }\n\
+     int main() {\n\
+    \  int big[16384]; int i;\n\
+    \  for (i = 0; i < 16384; i = i + 1) { big[i] = i & 7; }\n\
+    \  return sum(big, 16384) & 255;\n\
+     }"
+  in
+  let prog = Vm.Compile.compile_source src in
+  let a0 = Gc.allocated_bytes () in
+  (match Ir.Lower.lower ~hooked:true ~pruned:(fun _ -> false) prog with
+  | Some lw ->
+      ignore
+        (Sys.opaque_identity
+           (Array.map (Ir.Regalloc.allocate lw) lw.Ir.Lower.funcs))
+  | None -> Alcotest.fail "register lowering bailed");
+  let bytes = Gc.allocated_bytes () -. a0 in
+  if bytes >= 2e6 then
+    Alcotest.failf "lowering and allocation took %.0f bytes (limit 2 MB)"
+      bytes;
+  check_same_result "16K local array register"
+    (Ir.Engine.run ~engine:Switch ~fuel:100_000_000 prog)
+    (Ir.Engine.run ~fuel:100_000_000 prog)
+
 (* --- random program differential ---------------------------------------- *)
 
 let test_qcheck_differential () =
@@ -555,6 +640,10 @@ let suite =
     ("ring event streams", `Quick, test_ring_event_stream);
     ("ring fuel-boundary sweep", `Quick, test_fuel_ring_sweep);
     ("alloc/free churn profile", `Quick, test_churn_profile);
+    ("local arrays across calls", `Quick, test_local_array_calls);
+    ( "lowering cost independent of array extent",
+      `Quick,
+      test_lowering_extent_independent );
     ("qcheck differential", `Quick, test_qcheck_differential);
     ("qcheck profile config matrix", `Quick, test_qcheck_profile_matrix);
   ]

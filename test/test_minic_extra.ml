@@ -273,7 +273,22 @@ let test_lint_invariant_subscript_call_blocks_global () =
   Alcotest.(check bool) "global subscript quiet under calls" false
     (contains_lint msgs "(g never changes");
   Alcotest.(check bool) "local subscript still warns" true
-    (contains_lint msgs "(k never changes")
+    (contains_lint msgs "(k never changes");
+  (* "Global" is decided by scope, not by name: a local that shadows the
+     global [g] is main's own, and no call can change it. *)
+  Alcotest.(check bool) "local shadowing a global still warns" true
+    (contains_lint
+       (lints
+          {|int g;
+            int a[8];
+            int f() { return 0; }
+            int main() {
+              int s = 0;
+              int g = 3;
+              for (int i = 0; i < 4; i++) { s = s + a[g]; f(); }
+              return s + g;
+            }|})
+       "(g never changes")
 
 let test_lint_invariant_innermost_only () =
   (* [a[j]] varies in the inner loop (j is its induction variable) and

@@ -564,6 +564,122 @@ let test_refine_widens_ref_return () =
         (bytes_of ~engine ~static_prune:true prog))
     [ Vm.Machine.Switch; Vm.Machine.Register ]
 
+(* --- array extents ------------------------------------------------------------ *)
+
+(* Write-once constants at the edge of a [MakeRefGlobal (2, 4)] range,
+   which covers cells 2..5. An indexed store through the ref could
+   rewrite a covered cell, so only the neighbours just outside (1 and 6)
+   stay constants. Compiled Mini-C never stores a scalar inside an
+   array's cells, so this is hand-assembled. *)
+let coverage_boundary_prog () =
+  let dum = Minic.Srcloc.dummy in
+  let code =
+    [|
+      Vm.Instr.Call 0 (* preamble *);
+      Vm.Instr.Halt;
+      (* main, entry 2 *)
+      Vm.Instr.MakeRefGlobal (2, 4);
+      Vm.Instr.Pop;
+      Vm.Instr.Const 11;
+      Vm.Instr.StoreGlobal 1 (* base-1 *);
+      Vm.Instr.Const 12;
+      Vm.Instr.StoreGlobal 2 (* base *);
+      Vm.Instr.Const 13;
+      Vm.Instr.StoreGlobal 5 (* base+len-1 *);
+      Vm.Instr.Const 14;
+      Vm.Instr.StoreGlobal 6 (* base+len *);
+      Vm.Instr.LoadGlobal 1 (* pc 12 *);
+      Vm.Instr.LoadGlobal 2;
+      Vm.Instr.LoadGlobal 5;
+      Vm.Instr.LoadGlobal 6;
+      Vm.Instr.Binop Minic.Ast.Add;
+      Vm.Instr.Binop Minic.Ast.Add;
+      Vm.Instr.Binop Minic.Ast.Add;
+      Vm.Instr.Ret (* epilogue, pc 19 *);
+    |]
+  in
+  let cid_of_pc = Array.make (Array.length code) (-1) in
+  cid_of_pc.(2) <- 0;
+  {
+    Vm.Program.code;
+    locs = Array.make (Array.length code) dum;
+    funcs =
+      [|
+        {
+          Vm.Program.fid = 0;
+          name = "main";
+          entry = 2;
+          epilogue = 19;
+          code_end = 20;
+          nparams = 0;
+          param_is_array = [||];
+          frame_slots = 1;
+          ret = Minic.Ast.RetInt;
+          loc = dum;
+        };
+      |];
+    constructs =
+      [|
+        {
+          Vm.Program.cid = 0;
+          kind = Vm.Program.CProc;
+          head_pc = 2;
+          fid = 0;
+          loc = dum;
+          cname = "main";
+          body_first = 2;
+          body_last = 19;
+        };
+      |];
+    cid_of_pc;
+    globals_size = 8;
+    global_layout = [ ("lo", 1, 1); ("a", 2, 4); ("hi", 6, 1) ];
+    global_inits = [];
+    main_fid = 0;
+  }
+
+let test_const_at_coverage_boundary () =
+  let prog = coverage_boundary_prog () in
+  Vm.Verify.verify_exn prog;
+  let t = Static.Induction.analyze prog in
+  List.iter
+    (fun (what, load_pc, addr, expected) ->
+      Alcotest.(check (option int)) what expected
+        (Static.Induction.const_at t ~load_pc addr))
+    [
+      ("base-1 is a constant", 12, 1, Some 11);
+      ("base is covered", 13, 2, None);
+      ("base+len-1 is covered", 14, 5, None);
+      ("base+len is a constant", 15, 6, Some 14);
+    ]
+
+(* The static pipeline costs what the code does: passing a 2^20-cell
+   global array by reference must allocate exactly what a 2^10-cell one
+   does, so no pass keeps anything per array cell. Allocation counts are
+   deterministic; nothing here is timed. *)
+let test_analysis_extent_independent () =
+  let prog cells =
+    compile
+      (Printf.sprintf
+         {| int g[%d];
+            int sum(int a[], int n) {
+              int s = 0;
+              for (int i = 0; i < n; i++) { s = s + a[i]; a[i] = s; }
+              return s;
+            }
+            int main() { return sum(g, 16); } |}
+         cells)
+  in
+  let small = prog (1 lsl 10) and large = prog (1 lsl 20) in
+  let allocated p =
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Depend.analyze p));
+    Gc.allocated_bytes () -. a0
+  in
+  ignore (allocated small);
+  Alcotest.(check (float 0.)) "2^10 and 2^20 cells allocate alike"
+    (allocated small) (allocated large)
+
 (* --- sanitizer ---------------------------------------------------------------- *)
 
 let test_sanitizer_clean_on_workload () =
@@ -686,6 +802,8 @@ let suite =
     ("prune byte-identity registry", `Slow, test_prune_byte_identity_registry);
     ("prune byte-identity fig4", `Quick, test_prune_byte_identity_fig4_snippets);
     ("refine widens ref-return regions", `Quick, test_refine_widens_ref_return);
+    ("const_at at the ref coverage boundary", `Quick, test_const_at_coverage_boundary);
+    ("analysis cost independent of array extent", `Quick, test_analysis_extent_independent);
     ("sanitizer clean on workload", `Quick, test_sanitizer_clean_on_workload);
     ("sanitizer flags impossible edge", `Quick, test_sanitizer_flags_impossible_edge);
     ("sanitizer flags frame misattribution", `Quick, test_sanitizer_flags_misattributed_frame_edge);

@@ -244,6 +244,25 @@ let test_disasm_smoke () =
   Alcotest.(check bool) "mentions main" true
     (Testutil.contains text "function main")
 
+(* Range sets answer membership exactly as a scan of the ranges would,
+   for overlapping, touching, empty and negative-length ranges alike. *)
+let test_ranges_membership () =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 6) (pair (int_range (-5) 40) (int_range (-2) 8)))
+        (list_size (return 20) (int_range (-10) 50)))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"Ranges.mem matches a scan" ~count:500
+       (QCheck.make gen) (fun (ranges, probes) ->
+         let set = Vm.Ranges.of_list ranges in
+         List.for_all
+           (fun x ->
+             Vm.Ranges.mem set x
+             = List.exists (fun (b, l) -> b <= x && x < b + l) ranges)
+           probes))
+
 let suite =
   [
     ("arith", `Quick, test_arith);
@@ -261,4 +280,5 @@ let suite =
     ("call events", `Quick, test_call_events);
     ("frame freshness", `Quick, test_frame_freshness);
     ("disasm smoke", `Quick, test_disasm_smoke);
+    ("range sets", `Quick, test_ranges_membership);
   ]

@@ -5,7 +5,12 @@
    skipped by continue), and the call graph is a DAG (main -> f0 -> f1 ->
    f2). Runtime traps are avoided by construction too: divisions and
    modulos use non-zero constants, shifts use small constants, and array
-   indices are masked. *)
+   indices are masked.
+
+   Arrays cross calls by reference: every function takes an [int q[]]
+   parameter and declares a local array [la], and each call passes one
+   in-scope array (a global, the caller's local, or its own [q]). Every
+   array has 16 cells, so the masked indices fit all of them. *)
 
 open Minic.Ast
 module Gen = QCheck.Gen
@@ -73,8 +78,14 @@ let rec gen_expr env depth : expr Gen.t =
           gen_expr env (depth - 1) >>= fun a ->
           map (fun b -> e (Binop (op, a, b))) (gen_expr env (depth - 1)) );
         ( (if env.callees = [] then 0 else 1),
-          map (fun f -> e (Call (f, [ e (IntLit 1) ]))) (oneofl env.callees) );
+          gen_call env (e (IntLit 1)) );
       ]
+
+(* A call passes a scalar and one in-scope array, by reference. *)
+and gen_call env arg : expr Gen.t =
+  let open Gen in
+  oneofl env.callees >>= fun f ->
+  map (fun a -> e (Call (f, [ arg; e (Var a) ]))) (oneofl env.arrays)
 
 let gen_lvalue env : (lvalue * bool) Gen.t =
   (* bool: lvalue is an array slot (needs masked index) *)
@@ -105,9 +116,7 @@ let rec gen_stmt env ~in_loop ~depth : stmt Gen.t =
           map (fun ex -> s (OpAssign (op, lv, ex))) (gen_expr env 1) );
         (1, map (fun ex -> s (Print ex)) (gen_expr env 1));
         ( (if env.callees = [] then 0 else 1),
-          map
-            (fun f -> s (ExprStmt (e (Call (f, [ e (IntLit 2) ])))))
-            (oneofl env.callees) );
+          map (fun c -> s (ExprStmt c)) (gen_call env (e (IntLit 2))) );
       ]
   in
   if depth = 0 then simple
@@ -180,11 +189,18 @@ and gen_block env ~in_loop ~depth ~len : stmt list Gen.t =
   in
   go n []
 
+let local_array = s (DeclArray ("la", 16))
+
 let gen_func ~name ~callees ~globals ~garrays : func Gen.t =
   let open Gen in
-  let params = [ PScalar "p" ] in
+  let params = [ PScalar "p"; PArray "q" ] in
   let env =
-    { scalars = "p" :: globals; arrays = garrays; callees; fresh = 0 }
+    {
+      scalars = "p" :: globals;
+      arrays = "q" :: "la" :: garrays;
+      callees;
+      fresh = 0;
+    }
   in
   gen_block env ~in_loop:false ~depth:3 ~len:4 >>= fun body ->
   gen_expr env 2 >>= fun ret ->
@@ -193,7 +209,7 @@ let gen_func ~name ~callees ~globals ~garrays : func Gen.t =
       fname = name;
       fret = RetInt;
       fparams = params;
-      fbody = body @ [ s (Return (Some ret)) ];
+      fbody = (local_array :: body) @ [ s (Return (Some ret)) ];
       floc = loc;
     }
 
@@ -205,7 +221,12 @@ let gen_program : program Gen.t =
   gen_func ~name:"f1" ~callees:[ "f2" ] ~globals ~garrays >>= fun f1 ->
   gen_func ~name:"f0" ~callees:[ "f1"; "f2" ] ~globals ~garrays >>= fun f0 ->
   let env =
-    { scalars = globals; arrays = garrays; callees = [ "f0"; "f1"; "f2" ]; fresh = 100 }
+    {
+      scalars = globals;
+      arrays = "la" :: garrays;
+      callees = [ "f0"; "f1"; "f2" ];
+      fresh = 100;
+    }
   in
   gen_block env ~in_loop:false ~depth:3 ~len:5 >>= fun body ->
   gen_expr env 1 >>= fun ret ->
@@ -214,7 +235,9 @@ let gen_program : program Gen.t =
       fname = "main";
       fret = RetInt;
       fparams = [];
-      fbody = body @ [ s (Return (Some (e (Binop (BitAnd, ret, e (IntLit 255)))))) ];
+      fbody =
+        (local_array :: body)
+        @ [ s (Return (Some (e (Binop (BitAnd, ret, e (IntLit 255)))))) ];
       floc = loc;
     }
   in
