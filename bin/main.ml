@@ -672,12 +672,19 @@ let serve_cmd =
              with Unix.Unix_error (e, fn, _) ->
                (try Unix.close sock with Unix.Unix_error _ -> ());
                fail fn e);
+            (* A client that hangs up makes the next reply write raise
+               [Sys_error] instead of killing the server. The
+               connection's outstanding replies are then drained and
+               dropped (their profiles stay cached), so none reaches
+               the next client. *)
+            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
             let rec accept_loop () =
               let fd, _ = Unix.accept sock in
               let ic = Unix.in_channel_of_descr fd in
               let oc = Unix.out_channel_of_descr fd in
               (try serve_channel ic oc
-               with Sys_error _ | Unix.Unix_error _ -> ());
+               with Sys_error _ | Unix.Unix_error _ ->
+                 ignore (Driver.Service.drain svc));
               (try Unix.close fd with Unix.Unix_error _ -> ());
               accept_loop ()
             in

@@ -191,11 +191,6 @@ let make ?scan_limit ?pool_capacity ?obs ?facts ?(static = true)
         (fun ~pc ~fid:_ -> Indexing.Rules.on_call rules ~entry_pc:pc);
       on_ret = (fun ~pc:_ ~fid:_ -> Indexing.Rules.on_ret rules);
       on_frame_release =
-        (* A released frame is the top of the live address space, so
-           clear_range takes the O(1) suffix path for large frames and
-           the eager scrub for small ones — the scrub keeps the clear
-           stack quiet, which keeps Shadow_memory.freshen on its
-           fast path for the accesses that follow. *)
         (fun ~base ~size -> Shadow.Shadow_memory.clear_range shadow ~base ~size);
     }
   in

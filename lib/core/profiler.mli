@@ -37,7 +37,7 @@ type result = {
   run : Vm.Machine.result;  (** the program's ordinary execution result *)
   obs : Obs.Registry.t;
       (** live telemetry covering every layer: [vm.*] instruction and
-          memory-event counters, [shadow.*] cell/arena/clear-stack
+          memory-event counters, [shadow.*] cell/arena/scrub
           metrics, [pool.*]/[tree.*] indexing metrics, and
           [profiler.walk_depth]/[profiler.wall] — snapshot with
           {!telemetry} or {!Obs.Registry.snapshot} *)

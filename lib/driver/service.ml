@@ -213,17 +213,30 @@ let feed t line =
 
 (* --- harvesting ----------------------------------------------------------- *)
 
+(* A [save=] that cannot be written turns its reply into an error
+   naming the path; the profile stays cached. *)
 let finalize t (reply : reply) =
   (match reply.result with
   | Ok (Computed, key, bytes) -> Cache.add t.cache key bytes
   | Ok _ | Error _ -> ());
-  (match (reply.save, reply.result) with
-  | Some path, Ok (_, _, bytes) ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc bytes)
-  | _ -> ());
+  let reply =
+    match (reply.save, reply.result) with
+    | Some path, Ok (_, _, bytes) -> (
+        try
+          (* [close_out] reports a failed flush; the wrapper's own close
+             would drop it *)
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc bytes;
+              close_out oc);
+          reply
+        with Sys_error msg ->
+          let msg =
+            if String.starts_with ~prefix:path msg then msg
+            else path ^ ": " ^ msg
+          in
+          { reply with result = Error msg; save = None })
+    | _ -> reply
+  in
   (match reply.result with
   | Error _ -> Obs.Counter.incr t.errors_c
   | Ok _ -> ());

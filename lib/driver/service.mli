@@ -37,7 +37,8 @@ type reply = {
   result : (outcome * string * string, string) result;
       (** [Ok (outcome, cache key, canonical profile bytes)] or an
           error message (parse failure, unknown workload, runtime
-          trap) *)
+          trap, or [PATH: reason] for a [save=] that could not be
+          written — the profile is cached all the same) *)
   save : string option;  (** where the bytes were also written *)
 }
 

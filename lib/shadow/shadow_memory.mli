@@ -8,36 +8,34 @@
     {e minimum} [Tdep] per static edge.
 
     The implementation is allocation-free on the hot path: cells live in
-    flat struct-of-arrays tables indexed directly by address (the VM's
-    address space is dense and bounded by live memory), per-pc read slots
+    one flat int table, four words per address, indexed directly by
+    address (the VM's address space is dense and bounded by live memory), per-pc read slots
     come from a reusable arena, and dependence edges are reported through
     an unboxed {!sink} callback instead of a materialized
     {!Dependence.t} record.
 
     Each access carries the enclosing construct instance as an
     {!Indexing.Node.t} handle, an int, and the tables keep it as one:
-    the writer's in an int array beside the cells, each reader's in its
-    arena slot. Storing a handle is a plain int store, with no write
-    barrier and nothing kept alive. Shadow memory never reads a node; it
-    hands the recorded handle back as the edge's [head_node]. By then
-    the pool may have recycled that node, which the consumer detects
-    with {!Indexing.Node.covers} on [head_time] (the paper's window
-    check, Table II line 7).
+    the writer's in the fourth word of the address's cell, each
+    reader's in its arena slot. Storing a handle is a plain int store,
+    with no write barrier and nothing kept alive. Shadow memory never
+    reads a node; it hands the recorded handle back as the edge's
+    [head_node]. By then the pool may have recycled that node, which the
+    consumer detects with {!Indexing.Node.covers} on [head_time] (the
+    paper's window check, Table II line 7).
 
-    {!clear_from} drops history for a released stack frame, relying on
-    the VM's stack discipline (a released frame is always the top of the
-    live address space, so invalidating everything at or above [base] is
-    exact): it range-tags [base, ∞) in O(1) amortized by pushing a
-    (base, seq) entry on a clear stack, and stale cells are lazily reset
-    on their next touch. {!clear_range} honors an arbitrary [base, size)
-    exactly: small ranges and interior ranges are scrubbed eagerly;
-    ranges that reach the top of the touched address space delegate to
-    the O(1) suffix tag.
+    {!clear_range} is the one way history is dropped, as when the VM
+    releases a stack frame. Every cell at or above a high-water mark is
+    clean, so a clear scrubs only the part of its range below the mark,
+    and lowers the mark to the range's base when the range reaches it.
+    A scrub is thus bounded by the frame the VM already zeroed when it
+    pushed that frame, and a frame above the mark (an untraced one)
+    costs nothing.
 
-    Telemetry (cell-table growth, arena occupancy, clear-stack depth,
-    freshen/scrub counts) is always on — each update is an int store on a
-    pre-allocated {!Obs} instrument — and is published into an
-    {!Obs.Registry.t} via {!register_obs}. *)
+    Telemetry (cell-table growth, arena occupancy, scrubbed cells) is
+    always on — each update is an int store on a pre-allocated {!Obs}
+    instrument — and is published into an {!Obs.Registry.t} via
+    {!register_obs}. *)
 
 type t
 
@@ -64,15 +62,9 @@ val write :
   t -> addr:int -> pc:int -> time:int -> node:Indexing.Node.t -> unit
 
 val clear_range : t -> base:int -> size:int -> unit
-(** Drops history for exactly [base, base+size) — history above the range
-    survives. Costs O(size) unless the range reaches the top of the
-    touched address space, in which case it is the O(1) {!clear_from}. *)
-
-val clear_from : t -> base:int -> unit
-(** Drops history for [base, ∞) in O(1) amortized (the lazy range-tag).
-    This is the frame-release fast path: under the VM's stack discipline
-    a released frame is the top of the live address space, so clearing
-    everything at or above [base] is exact. *)
+(** Drops history for exactly [base, base+size) — history above the
+    range survives. Costs O(size) at most, and nothing for a range above
+    every address touched since it was last cleared. *)
 
 val register_obs : t -> Obs.Registry.t -> unit
 (** Register this instance's telemetry under the ["shadow."] prefix.

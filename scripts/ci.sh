@@ -395,6 +395,95 @@ timeout 10 dune exec --no-build -- alchemist serve \
 grep -q "$tmpdir/no-such-dir/x.sock" "$tmpdir/socket-bind.out"
 echo "serve socket: a bind failure names PATH and exits 1"
 
+# A save= that cannot be written is that request's error reply: the
+# session goes on, answers every request in order, and exits 0.
+printf 'workload:par2:8\nworkload:par2:8 save=%s\nworkload:par2:9\n' \
+  "$tmpdir/no-such-dir/x.prof" \
+  | dune exec --no-build -- alchemist serve -j 1 > "$tmpdir/save-fail.out"
+[ "$(cut -d' ' -f1-2 "$tmpdir/save-fail.out" | tr '\n' ' ')" = \
+  "ok 1 error 2 ok 3 " ] || {
+  echo "serve with an unwritable save= did not answer ok/error/ok" >&2
+  cat "$tmpdir/save-fail.out" >&2
+  exit 1
+}
+grep -q "^error 2 workload:par2:8: $tmpdir/no-such-dir/x.prof: " \
+  "$tmpdir/save-fail.out"
+echo "serve save: an unwritable save= is an in-order error reply"
+
+# serve --socket survives its clients: a client that hangs up without
+# reading must neither kill the server nor leave replies for the next
+# client, which gets exactly its own one reply; and a client whose batch
+# has an unwritable save= gets all three of its replies. The server is
+# bounded by timeout, stopped here, and must leave no process behind.
+cat > "$tmpdir/clients.py" <<'PY'
+import socket
+import sys
+import time
+
+path, bad = sys.argv[1], sys.argv[2]
+
+
+def connect():
+    for _ in range(200):
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            s.connect(path)
+            return s
+        except OSError:
+            s.close()
+            time.sleep(0.05)
+    sys.exit("serve never accepted a connection on " + path)
+
+
+def session(lines):
+    s = connect()
+    s.sendall("".join(line + "\n" for line in lines).encode())
+    s.shutdown(socket.SHUT_WR)
+    data = b""
+    while True:
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    s.close()
+    return data.decode().splitlines()
+
+
+s = connect()
+s.sendall(b"workload:par2:30\nworkload:par2:31\n")
+s.close()
+
+replies = session(["workload:par2:10"])
+if [r.split()[0:3:2] for r in replies] != [["ok", "workload:par2:10"]]:
+    sys.exit("after a hang-up, the next client got %r" % replies)
+
+replies = session(["workload:par2:8", "workload:par2:8 save=" + bad,
+                   "workload:par2:9"])
+if [r.split()[0] for r in replies] != ["ok", "error", "ok"] or \
+        bad + ":" not in replies[1]:
+    sys.exit("a batch with an unwritable save= got %r" % replies)
+PY
+alchemist="$(pwd)/_build/default/bin/main.exe"
+timeout 120 "$alchemist" serve -j 1 --socket "$tmpdir/clients.sock" \
+  < /dev/null > /dev/null 2>&1 &
+server=$!
+trap 'kill "$server" 2> /dev/null || true; rm -rf "$tmpdir"' EXIT
+status=0
+timeout 60 python3 "$tmpdir/clients.py" "$tmpdir/clients.sock" \
+  "$tmpdir/no-such-dir/x.prof" || status=$?
+kill "$server" 2> /dev/null || {
+  echo "serve --socket was no longer running after its clients" >&2
+  exit 1
+}
+wait "$server" 2> /dev/null || true
+trap 'rm -rf "$tmpdir"' EXIT
+[ "$status" -eq 0 ] || exit 1
+if pgrep -f "serve -j 1 --socket $tmpdir/clients.sock" > /dev/null; then
+  echo "a serve process outlived the socket session" >&2
+  exit 1
+fi
+echo "serve socket: a hang-up client harms no one, a failing save= is answered"
+
 # profile-all: the sharded registry sweep must save the same nine
 # profiles at -j 2 as at -j 1, and its telemetry must count every
 # workload as one submitted and one completed scheduler job.

@@ -453,11 +453,47 @@ let test_fuel_ring_sweep () =
       (clock_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog)
   done
 
-(* Alloc/free churn: a frame with a local array released on every call
-   inside a loop, so clear_range fires between batched accesses of the
-   same addresses over and over — the shadow freshen memo must be
-   invalidated by each release or stale cells would fabricate
-   cross-activation edges. Full profile byte-compare across engines. *)
+(* Alloc/free churn: frames with local arrays released over and over,
+   so clear_range fires between accesses of the same addresses. A cell
+   left stale by a release would fabricate cross-activation edges; a
+   clear that reached past its range would drop live history. Three
+   shapes: an 8-slot frame released on every call inside a loop, whose
+   profile is byte-compared across engines; a 100-slot frame released
+   at the top of touched memory; and a recursion over 100-slot frames,
+   each release at the top while the callers' arrays below hold
+   history. The two wide shapes are pinned by goldens, under both
+   engines and with locals traced and not. *)
+let churn_wide_cases =
+  [
+    ( "frame",
+      "int acc[4];\n\
+       int wide(int k) {\n\
+      \  int b[100]; int i; int s;\n\
+      \  s = 0;\n\
+      \  for (i = 0; i < 100; i = i + 1) { b[i] = k + i; }\n\
+      \  for (i = 0; i < 100; i = i + 1) { s = s + b[i]; }\n\
+      \  return s;\n\
+       }\n\
+       int main() {\n\
+      \  int j; int t;\n\
+      \  t = 0;\n\
+      \  for (j = 0; j < 12; j = j + 1) { t = t + wide(j); acc[j % 4] = t; }\n\
+      \  return t;\n\
+       }" );
+    ( "recursion",
+      "int acc[4];\n\
+       int rec(int n) {\n\
+      \  int b[100]; int i; int s;\n\
+      \  for (i = 0; i < 100; i = i + 1) { b[i] = n + i; }\n\
+      \  s = 0;\n\
+      \  if (n > 0) { s = rec(n - 1); }\n\
+      \  for (i = 0; i < 100; i = i + 1) { s = s + b[i]; }\n\
+      \  acc[n % 4] = s;\n\
+      \  return s;\n\
+       }\n\
+       int main() { return rec(6) + rec(3); }" );
+  ]
+
 let test_churn_profile () =
   let src =
     "int acc[4];\n\
@@ -481,7 +517,30 @@ let test_churn_profile () =
       (Profiler.run ~engine:Switch ~fuel prog).Profiler.profile
   in
   Alcotest.(check string) "churn register" reference
-    (Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile)
+    (Alchemist.Profile_io.to_string (Profiler.run ~fuel prog).Profiler.profile);
+  List.iter
+    (fun (name, src) ->
+      let prog = Vm.Compile.compile_source src in
+      List.iter
+        (fun trace_locals ->
+          let golden =
+            In_channel.with_open_bin
+              (Printf.sprintf "golden/churn-%s%s.prof" name
+                 (if trace_locals then "-locals" else ""))
+              In_channel.input_all
+          in
+          List.iter
+            (fun engine ->
+              Alcotest.(check string)
+                (Printf.sprintf "churn %s %s trace_locals=%b" name
+                   (ename engine) trace_locals)
+                golden
+                (Alchemist.Profile_io.to_string
+                   (Profiler.run ~engine ~trace_locals ~fuel prog)
+                     .Profiler.profile))
+            engines)
+        [ false; true ])
+    churn_wide_cases
 
 (* --- local arrays across calls -------------------------------------------- *)
 

@@ -304,13 +304,19 @@ let test_feed_ordering_and_errors () =
       ignore (Service.feed svc "workload:stencil:64 engine=threaded");
       ignore (Service.feed svc "workload:stencil:64 ring=false");
       ignore (Service.feed svc "workload:stencil:64 prune=false");
+      (* a save= path under a regular file cannot be written *)
+      let not_a_dir = Filename.temp_file "alchemist-service" ".file" in
+      let bad_save = Filename.concat not_a_dir "x.prof" in
+      ignore (Service.feed svc ("workload:stencil:32 save=" ^ bad_save));
+      ignore (Service.feed svc "workload:stencil:16");
       let replies = Service.drain svc in
+      Sys.remove not_a_dir;
       check Alcotest.(list int) "submission order preserved"
-        [ 1; 2; 3; 4; 5; 6; 7 ]
+        [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
         (List.map (fun (r : Service.reply) -> r.Service.seq) replies);
       let ok (r : Service.reply) = Result.is_ok r.Service.result in
       check Alcotest.(list bool) "errors exactly where submitted"
-        [ true; false; false; false; false; false; false ]
+        [ true; false; false; false; false; false; false; false; true ]
         (List.map ok replies);
       let error_of i =
         match (List.nth replies i).Service.result with
@@ -325,18 +331,24 @@ let test_feed_ordering_and_errors () =
         "unknown option \"ring\"" (error_of 5);
       check Alcotest.string "prune is an unknown option"
         "unknown option \"prune\"" (error_of 6);
+      check Alcotest.bool "an unwritable save names its path" true
+        (String.starts_with ~prefix:(bad_save ^ ": ") (error_of 7));
       (* a repeat in a later batch hits the cache (inserts happen at
-         harvest, so the repeat must come after a drain) and agrees *)
+         harvest, so the repeat must come after a drain) and agrees; the
+         profile whose save failed was cached too *)
       ignore (Service.feed svc "workload:stencil:64");
+      ignore (Service.feed svc "workload:stencil:32");
       match Service.drain svc with
-      | [ b ] ->
-          check Alcotest.int "repeat seq" 8 b.Service.seq;
+      | [ b; c ] ->
+          check Alcotest.int "repeat seq" 10 b.Service.seq;
           check Alcotest.string "bytes agree"
             (reply_bytes (List.nth replies 0))
             (reply_bytes b);
           check Alcotest.bool "second hits" true
-            (reply_outcome b = Service.Hit)
-      | _ -> Alcotest.fail "expected exactly one reply in second batch")
+            (reply_outcome b = Service.Hit);
+          check Alcotest.bool "unsaved profile hits" true
+            (reply_outcome c = Service.Hit)
+      | _ -> Alcotest.fail "expected exactly two replies in second batch")
 
 (* A scale that is not a positive integer is a bad request, parsed by
    the same Workloads.Registry.of_spec the CLI uses: never a profile of

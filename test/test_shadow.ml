@@ -129,15 +129,14 @@ let test_clear_range () =
   Alcotest.(check int) "history dropped" 0 (List.length (got ()));
   Alcotest.(check bool) "addresses re-tracked" true (SM.tracked_addresses sm >= 2)
 
-(* Regression: a large interior clear_range must honor the range end.
-   The old lazy path tagged [base, inf) whenever size exceeded the eager
-   limit, wiping history above base+size. *)
+(* Regression: a wide interior clear_range must honor the range end and
+   keep the history above base+size. *)
 let test_clear_range_interior () =
   let sm, got = collect () in
   let n = node () in
   SM.write sm ~addr:100 ~pc:1 ~time:1 ~node:n;
   SM.write sm ~addr:300 ~pc:2 ~time:2 ~node:n;
-  (* size 200 > eager limit, but [50, 250) stops below addr 300 *)
+  (* [50, 250) stops below addr 300 *)
   SM.clear_range sm ~base:50 ~size:200;
   SM.read sm ~addr:100 ~pc:3 ~time:3 ~node:n;
   SM.read sm ~addr:300 ~pc:4 ~time:4 ~node:n;
@@ -150,15 +149,16 @@ let test_clear_range_interior () =
       Alcotest.failf "expected exactly the dep above the range, got %d"
         (List.length ds)
 
-(* clear_from is the O(1) frame-release path: everything at or above base
-   is stale, including addresses far beyond any eager-scrub window. *)
+(* A clear past every touched address drops everything from its base
+   up, including addresses far beyond a 64-slot frame, and nothing
+   below it. *)
 let test_clear_from_suffix () =
   let sm, got = collect () in
   let n = node () in
   SM.write sm ~addr:10 ~pc:1 ~time:1 ~node:n;
   SM.write sm ~addr:100 ~pc:2 ~time:2 ~node:n;
   SM.write sm ~addr:5000 ~pc:3 ~time:3 ~node:n;
-  SM.clear_from sm ~base:64;
+  SM.clear_range sm ~base:64 ~size:10_000;
   SM.read sm ~addr:100 ~pc:4 ~time:4 ~node:n;
   SM.read sm ~addr:5000 ~pc:5 ~time:5 ~node:n;
   SM.read sm ~addr:10 ~pc:6 ~time:6 ~node:n;
@@ -171,124 +171,157 @@ let test_clear_from_suffix () =
       Alcotest.failf "expected exactly the dep below base, got %d"
         (List.length ds)
 
-(* Regression for the freshen memo (clear generations): a clear of any
-   kind between two accesses of the same address must force the second
-   access back through the freshen path — a memo stamp surviving a clear
-   would let a lazily cleared cell masquerade as live history (stale
-   WAW/RAW from before the clear). *)
-let test_clear_invalidates_freshen_memo () =
+(* A clear between two accesses of one address drops the first: the
+   second must see no WAW, whether the range reaches the top of touched
+   memory or lies inside it. *)
+let test_clear_between_accesses () =
   let sm, got = collect () in
   let n = node () in
   SM.write sm ~addr:100 ~pc:1 ~time:1 ~node:n;
-  (* stamps the memo for 100 *)
-  SM.clear_from sm ~base:64;
-  (* lazy suffix tag: the cell still physically holds pc 1 *)
+  SM.clear_range sm ~base:64 ~size:100;
   SM.write sm ~addr:100 ~pc:2 ~time:2 ~node:n;
-  Alcotest.(check int) "no stale WAW across clear_from" 0
+  Alcotest.(check int) "no stale WAW across a clear reaching the top" 0
     (List.length (got ()));
-  (* same via the eager clear_range branch, mid-range *)
   SM.write sm ~addr:7 ~pc:3 ~time:3 ~node:n;
   SM.clear_range sm ~base:6 ~size:4;
   SM.write sm ~addr:7 ~pc:4 ~time:4 ~node:n;
-  Alcotest.(check int) "no stale WAW across interior clear_range" 0
+  Alcotest.(check int) "no stale WAW across an interior clear" 0
     (List.length (got ()))
 
-(* The memo itself: repeated accesses to one address between clears run
-   the ensure+freshen check once, and a clear re-arms it. The counter is
-   a pure function of the access/clear stream, so it is also safe for
-   cross-engine telemetry comparison. *)
-let test_freshen_memo_counter () =
-  let sm, _ = collect () in
-  let reg = Obs.Registry.create () in
-  SM.register_obs sm reg;
-  let checks () =
-    match Obs.find (Obs.Registry.snapshot reg) "shadow.freshen_checks" with
-    | Some (Obs.Count n) -> n
-    | _ -> -1
-  in
-  let n = node () in
-  SM.write sm ~addr:9 ~pc:1 ~time:1 ~node:n;
-  SM.read sm ~addr:9 ~pc:2 ~time:2 ~node:n;
-  SM.read sm ~addr:9 ~pc:3 ~time:3 ~node:n;
-  Alcotest.(check int) "one check for three accesses" 1 (checks ());
-  SM.clear_from sm ~base:0;
-  SM.write sm ~addr:9 ~pc:4 ~time:4 ~node:n;
-  Alcotest.(check int) "clear re-arms the check" 2 (checks ());
-  Alcotest.(check int) "events unaffected" 4 (SM.events sm)
-
-(* The no-op fast path of clear_range (range entirely at or above the
-   touched high-water mark) must keep real clears working: it skips the
-   generation bump, which is sound exactly because untouched addresses
-   carry no stamps. *)
-let test_noop_clear_keeps_memo_sound () =
+(* A clear above every touched address changes nothing, and a real
+   clear after it still drops history. *)
+let test_clear_above_touched () =
   let sm, got = collect () in
   let n = node () in
   SM.write sm ~addr:10 ~pc:1 ~time:1 ~node:n;
-  (* far above hi: the no-op path *)
   SM.clear_range sm ~base:100_000 ~size:64;
   SM.read sm ~addr:10 ~pc:2 ~time:2 ~node:n;
   (match got () with
-  | [ d ] -> Alcotest.(check bool) "RAW survives a no-op clear" true (d.Dep.kind = Dep.Raw)
+  | [ d ] ->
+      Alcotest.(check bool) "RAW survives a clear above" true
+        (d.Dep.kind = Dep.Raw)
   | ds -> Alcotest.failf "expected 1 dep, got %d" (List.length ds));
-  (* a real clear afterwards still invalidates *)
-  SM.clear_from sm ~base:0;
+  SM.clear_range sm ~base:0 ~size:11;
   SM.write sm ~addr:10 ~pc:3 ~time:3 ~node:n;
   Alcotest.(check int) "then a real clear still clears" 1
     (List.length (got ()))
 
 let test_counters () =
   let sm, _ = collect () in
+  let reg = Obs.Registry.create () in
+  SM.register_obs sm reg;
+  let scrubbed () =
+    match Obs.find (Obs.Registry.snapshot reg) "shadow.cells_scrubbed" with
+    | Some (Obs.Count n) -> n
+    | _ -> -1
+  in
   let n = node () in
   SM.write sm ~addr:1 ~pc:1 ~time:1 ~node:n;
   SM.read sm ~addr:1 ~pc:2 ~time:2 ~node:n;
   SM.read sm ~addr:2 ~pc:3 ~time:3 ~node:n;
   Alcotest.(check int) "events" 3 (SM.events sm);
   Alcotest.(check int) "deps" 1 (SM.deps_emitted sm);
-  Alcotest.(check int) "tracked" 2 (SM.tracked_addresses sm)
+  Alcotest.(check int) "tracked" 2 (SM.tracked_addresses sm);
+  SM.write sm ~addr:9 ~pc:4 ~time:4 ~node:n;
+  (* [0, 8) holds k = 2 cells with history (1 and 2) and j = 6
+     untouched ones *)
+  SM.clear_range sm ~base:0 ~size:8;
+  Alcotest.(check int) "scrubbed counts the cells with history" 2
+    (scrubbed ());
+  Alcotest.(check int) "tracked after the clear" 1 (SM.tracked_addresses sm);
+  SM.clear_range sm ~base:0 ~size:8;
+  Alcotest.(check int) "a clean range scrubs nothing" 2 (scrubbed ())
 
-(* Property: on a random access sequence over a small address range, every
-   emitted dependence has positive-or-zero distance, correct ordering, and
-   RAW heads are always the most recent write to that address. *)
+(* Property: shadow memory agrees with Baselines.Pair_shadow, the plain
+   hash-table reference, on random accesses and clears. Addresses span
+   300 cells, a hot low 16 of them taking half the draws so that edges
+   are frequent. Clear sizes fall on both sides of 64 slots, and a clear
+   starts inside the touched range, reaches its top, or lies above it.
+   Each access's edges are compared as a sorted list of (kind, head pc,
+   head time, head node, tail pc); the node rides as Pair_shadow's
+   context. *)
+type op = Access of bool * int * int | Clear of int * int * int
+
 let test_random_sequences_qcheck () =
+  let module PS = Baselines.Pair_shadow in
   let gen =
     QCheck.Gen.(
-      list_size (int_range 1 200)
-        (tup3 bool (int_range 0 4) (int_range 0 30)))
+      let access =
+        map3
+          (fun w a pc -> Access (w, a, pc))
+          bool
+          (oneof [ int_range 0 15; int_range 0 299 ])
+          (int_range 0 30)
+      in
+      let clear =
+        map3
+          (fun where off size -> Clear (where, off, size))
+          (int_range 0 2) (int_range 0 299)
+          (oneof [ int_range 1 64; int_range 65 200 ])
+      in
+      list_size (int_range 1 400) (frequency [ (8, access); (1, clear) ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Access (w, a, pc) -> Printf.sprintf "%s %d @%d" (if w then "W" else "R") a pc
+      | Clear (where, off, size) -> Printf.sprintf "C%d %d+%d" where off size)
   in
   let prop ops =
-    let deps = ref [] in
-    let sm = SM.create ~sink:(Testutil.boxing_sink (fun d -> deps := d :: !deps)) () in
-    let n = node () in
-    let last_write = Array.make 5 None in
     let time = ref 0 in
-    let ok = ref true in
-    List.iter
-      (fun (is_write, addr, pc) ->
-        incr time;
-        let before = !deps in
-        if is_write then SM.write sm ~addr ~pc ~time:!time ~node:n
-        else SM.read sm ~addr ~pc ~time:!time ~node:n;
-        let new_deps =
-          List.filteri (fun i _ -> i < List.length !deps - List.length before) !deps
-        in
-        List.iter
-          (fun d ->
-            if Dep.distance d < 0 then ok := false;
-            if d.Dep.tail.Dep.time <> !time then ok := false;
-            match (d.Dep.kind, last_write.(addr)) with
-            | Dep.Raw, Some (wpc, wt) ->
-                if d.Dep.head.Dep.pc <> wpc || d.Dep.head.Dep.time <> wt then
-                  ok := false
-            | Dep.Raw, None -> ok := false
-            | _ -> ())
-          new_deps;
-        if is_write then last_write.(addr) <- Some (pc, !time))
-      ops;
-    !ok
+    let got = ref [] and want = ref [] in
+    let sm =
+      SM.create
+        ~sink:(fun ~kind ~head_pc ~head_time ~head_node ~tail_pc ~tail_time:_
+                   ~tail_node:_ ~addr:_ ->
+          got := (kind, head_pc, head_time, head_node, tail_pc) :: !got)
+        ()
+    in
+    let ps =
+      PS.create
+        ~on_dep:(fun (d : int PS.dep) ->
+          let kind =
+            match d.kind with `Raw -> Dep.Raw | `War -> Dep.War | `Waw -> Dep.Waw
+          in
+          want :=
+            (kind, d.head_pc, !time - d.distance, d.head_ctx, d.tail_pc)
+            :: !want)
+        ()
+    in
+    (* one past the highest address accessed so far *)
+    let top = ref 0 in
+    List.for_all
+      (function
+        | Access (is_write, addr, pc) ->
+            incr time;
+            got := [];
+            want := [];
+            let node = 1000 + !time in
+            if is_write then begin
+              SM.write sm ~addr ~pc ~time:!time ~node;
+              PS.write ps ~addr ~pc ~time:!time ~ctx:node
+            end
+            else begin
+              SM.read sm ~addr ~pc ~time:!time ~node;
+              PS.read ps ~addr ~pc ~time:!time ~ctx:node
+            end;
+            top := max !top (addr + 1);
+            List.sort compare !got = List.sort compare !want
+        | Clear (where, off, size) ->
+            let inside = off mod max 1 !top in
+            let base, size =
+              match where with
+              | 0 -> (inside, size)
+              | 1 -> (inside, max size (!top - inside))
+              | _ -> (!top + (off mod 50), size)
+            in
+            SM.clear_range sm ~base ~size;
+            PS.clear_range ps ~base ~size;
+            true)
+      ops
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"random access sequences" ~count:300
-       (QCheck.make gen) prop)
+    (QCheck.Test.make ~name:"random accesses and clears against Pair_shadow"
+       ~count:300 (QCheck.make ~print gen) prop)
 
 (* Node handles are kept as plain ints: the writer's beside the cell,
    each reader's in its arena slot. Every edge must hand back the handle
@@ -334,11 +367,8 @@ let suite =
     ("clear range", `Quick, test_clear_range);
     ("clear range honors range end", `Quick, test_clear_range_interior);
     ("clear from suffix", `Quick, test_clear_from_suffix);
-    ( "clear invalidates freshen memo",
-      `Quick,
-      test_clear_invalidates_freshen_memo );
-    ("freshen memo counter", `Quick, test_freshen_memo_counter);
-    ("no-op clear keeps memo sound", `Quick, test_noop_clear_keeps_memo_sound);
+    ("clear between two accesses", `Quick, test_clear_between_accesses);
+    ("clear above touched memory", `Quick, test_clear_above_touched);
     ("counters", `Quick, test_counters);
     ("node handles", `Quick, test_node_handles);
     ("random sequences (qcheck)", `Quick, test_random_sequences_qcheck);
