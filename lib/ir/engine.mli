@@ -27,15 +27,15 @@ type clock = Ring.clock = {
   set_time : int -> unit;
       (** Restore the clock to a stamp (instructions retired when the
           event was emitted); called before each event whose stamp the
-          replay has not reached, and at run exit and fuel hand-off. *)
+          replay has not reached, and once at run exit. *)
 }
 (** The hooked-run contract: what a consumer supplies to receive the
     thinned stream. Its hooks then see every memory, branch, call,
     return and frame event in order, with its clock exactly where
     per-instruction delivery would have left it, but [on_instr] only
     for kept segments. [hooks.on_instr] is still called per pc where
-    the switch interpreter runs (after a fuel hand-off, and in the
-    fallbacks above), so it must agree with [instr_range]. The profiler
+    the switch interpreter runs (the fallbacks above), so it must agree
+    with [instr_range]. The profiler
     and the parallelism simulator pass [Indexing.Rules.on_instr_range],
     [Indexing.Rules.range_has_target] and [Indexing.Index_tree.set_now].
     Without a clock every segment is expanded into per-pc [on_instr]

@@ -5,15 +5,14 @@
    ([regs]), disjoint from the caller's, so calls are window bumps and
    parallel to the frame-memory machinery of {!Vm.Vmstate} — frame
    memory is still really allocated and zeroed (the memory high-water
-   metric is identical), but locals live in registers and frame memory
-   is only synchronized on deoptimization.
+   metric is identical), but scalar locals live only in registers.
 
-   Fuel exhaustion mid-segment deoptimizes: the operand stack is
-   rebuilt bottom-up from the per-frame suspension records, live
-   locals are flushed to frame memory, and {!Vm.Machine.switch_resume}
-   replays from the segment's first pc — so "out of fuel" (or any
-   nearer trap) fires at exactly the reference pc with the reference
-   event stream.
+   Fuel runs out inside a segment without leaving the engine. A
+   segment's events, traps and effect all sit at its last pc, and every
+   pc before that is a clock tick and nothing else, so when the
+   reference would retire only [k] of a segment's pcs the engine ticks
+   those [k] itself and traps "out of fuel" at the next one — the
+   reference pc, after exactly the reference event stream.
 
    Registers carry no runtime tags: {!exec} runs a lowering here only
    when it proves every operand's tag ([needs_tags] is false), and
@@ -21,24 +20,6 @@
 
 open Instr
 module VS = Vm.Vmstate
-
-(* A resolved stack frame image: how to rebuild one frame's portion of
-   the reference operand stack and flush its live locals. Operands are
-   pre-resolved to window slots. *)
-type rop = RImm of int | RSlot of int | RRefL of int * int
-
-type rframe = {
-  r_ops : rop array;
-  r_tags : string;
-  r_flush_mem : int array;
-  r_flush_slot : int array;
-  r_flush_tag : string;
-}
-
-let empty_frame =
-  { r_ops = [||]; r_tags = ""; r_flush_mem = [||]; r_flush_slot = [||]; r_flush_tag = "" }
-
-type rdeopt = { rd_pc : int; rd_frame : rframe }
 
 type xstate = {
   st : VS.state;
@@ -48,40 +29,14 @@ type xstate = {
   mutable c_rb : int array;  (** per call depth: saved window base *)
   mutable c_ret_ir : int array;  (** return IR pc *)
   mutable c_dst : int array;  (** caller-window-relative result slot *)
-  mutable c_sus : rframe array;  (** caller suspension record *)
 }
-
-let resolve_ops (al : Regalloc.alloc) ops =
-  Array.map
-    (function
-      | Reg r -> RSlot al.map.(r)
-      | Imm n -> RImm n
-      | RefL (o, l) -> RRefL (o, l))
-    ops
-
-let resolve_frame (al : Regalloc.alloc) ops tags flush =
-  {
-    r_ops = resolve_ops al ops;
-    r_tags = tags;
-    r_flush_mem = Array.map (fun (s, _, _) -> s) flush;
-    r_flush_slot = Array.map (fun (_, v, _) -> al.map.(v)) flush;
-    r_flush_tag =
-      String.init (Array.length flush) (fun i ->
-          let _, _, t = flush.(i) in
-          t);
-  }
 
 (* Does any static tag come out unknown? Such a lowering would need tags
    tracked at run time, which this engine does not do. *)
 let needs_tags (lw : Lower.t) =
-  let unk_s s = String.contains s ty_unk in
-  let unk_fl = Array.exists (fun (_, _, t) -> t = ty_unk) in
   Array.exists
     (fun (ins : Instr.t) ->
       Array.exists (fun m -> m.m_ty = ty_unk) ins.moves
-      || (match ins.deopt with
-         | Some d -> unk_s d.d_tags || unk_fl d.d_flush
-         | None -> false)
       ||
       match ins.kind with
       | Mov { ty; _ } -> ty = ty_unk
@@ -93,7 +48,7 @@ let needs_tags (lw : Lower.t) =
           tr = ty_unk || tix = ty_unk || tv = ty_unk
       | PrintI { tv; _ } -> tv = ty_unk
       | BrI { tc; _ } -> tc = ty_unk
-      | CallI ci -> unk_s ci.ci_atags || unk_s ci.ci_rtags || unk_fl ci.ci_rflush
+      | CallI ci -> String.contains ci.ci_atags ty_unk
       | RetI { vt; _ } -> vt = ty_unk
       | HaltI { tv; _ } -> tv = ty_unk
       | LoadG _ | JmpI _ | EndB -> false)
@@ -115,14 +70,14 @@ let binfn (op : Minic.Ast.binop) : int -> int -> int =
   | Ne -> fun a b -> if a <> b then 1 else 0
   | Div | Mod | Shl | Shr | LogAnd | LogOr -> assert false
 
-let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
-    (hooks : Vm.Hooks.t) ?fuel ?max_depth (lw : Lower.t) =
+let run_ir ~hooked ?clock ?obs (hooks : Vm.Hooks.t) ?fuel ?max_depth
+    (lw : Lower.t) =
   let prog = lw.prog in
   let st = VS.create ?max_depth prog in
   let fuel = match fuel with Some f -> f | None -> max_int in
   (* Event delivery: every hook call site below appends packed ints to
-     the ring, and the real hooks only run when it drains (capacity,
-     deoptimization, run exit). The sinks are resolved once here so the
+     the ring, and the real hooks only run when it drains (at capacity
+     and at run exit). The sinks are resolved once here so the
      compiled closures carry no per-event branch. Ring events are
      stamped with the emitting clock ([st.instructions]); when the
      caller supplies a [clock] (the profiler and the parallelism
@@ -190,7 +145,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
       c_rb = Array.make 64 0;
       c_ret_ir = Array.make 64 0;
       c_dst = Array.make 64 0;
-      c_sus = Array.make 64 empty_frame;
     }
   in
   let ensure_regs need =
@@ -211,44 +165,19 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
     in
     xs.c_rb <- g xs.c_rb;
     xs.c_ret_ir <- g xs.c_ret_ir;
-    xs.c_dst <- g xs.c_dst;
-    let s = Array.make nn empty_frame in
-    Array.blit xs.c_sus 0 s 0 n;
-    xs.c_sus <- s
+    xs.c_dst <- g xs.c_dst
   in
   let vtag tc = if tc = ty_ref then VS.tag_ref else VS.tag_int in
-  let restore_frame wb fb (fr : rframe) =
-    for k = 0 to Array.length fr.r_flush_mem - 1 do
-      let addr = fb + fr.r_flush_mem.(k) in
-      let ws = wb + fr.r_flush_slot.(k) in
-      st.mem.(addr) <- xs.regs.(ws);
-      Bytes.set st.mem_tag addr (vtag fr.r_flush_tag.[k])
-    done;
-    Array.iteri
-      (fun i op ->
-        let tg = vtag fr.r_tags.[i] in
-        match op with
-        | RImm n -> VS.push st n tg
-        | RSlot s' -> VS.push st xs.regs.(wb + s') tg
-        | RRefL (off, len) -> VS.push st (VS.pack_ref (fb + off) len) VS.tag_ref)
-      fr.r_ops
-  in
-  let do_deopt (rd : rdeopt) : int =
-    (* Flush pending ring events BEFORE reconstructing stack state: the
-       hand-off resumes the switch interpreter, which delivers its own
-       events directly — anything still buffered here is owed to the
-       stream first, or the resume's events would overtake it. *)
-    flush_ring ();
-    st.sp <- 0;
-    for j = 0 to st.depth - 1 do
-      restore_frame xs.c_rb.(j) st.call_base.(j) xs.c_sus.(j)
-    done;
-    restore_frame xs.rb st.frame_base rd.rd_frame;
-    let v =
-      Vm.Machine.switch_resume ~hooked ~trace_locals ?prune hooks ~fuel st prog
-        ~pc:rd.rd_pc
-    in
-    raise (VS.Halted v)
+  (* Fuel runs out inside segment [lo..]: the reference retires the
+     segment's first [k] pcs and traps at [lo + k]. Those pcs are clock
+     ticks only (see {!Instr}), so tick them here — through the ring
+     when the segment reaches the stream ([emit]) — and trap. Fuel
+     already spent, or negative, retires none. *)
+  let out_of_fuel lo ~emit =
+    let k = max 0 (fuel - st.instructions) in
+    if emit && k > 0 then ev_range lo (lo + k - 1) st.instructions;
+    st.instructions <- st.instructions + k;
+    VS.trap st (lo + k) "out of fuel"
   in
   (* ---- per-instruction closure compilation --------------------------- *)
   let build gi (ins : Instr.t) : unit -> int =
@@ -370,15 +299,6 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
       let seg = Instr.seg_len ins in
       let lo = ins.seg_lo and hi = ins.seg_hi in
       let dr = ins.d_reads and dw = ins.d_writes in
-      let rd =
-        match ins.deopt with
-        | Some d ->
-            {
-              rd_pc = d.d_pc;
-              rd_frame = resolve_frame al d.d_stack d.d_tags d.d_flush;
-            }
-        | None -> assert false
-      in
       (* Specialized at build time: [hooked], the move count and the
          metric deltas are per-closure constants, so the per-execution
          path carries no dead branches, no zero adds and no [hooks]
@@ -389,7 +309,7 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           match (mets, nm > 0) with
           | true, true ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:true;
                 st.instructions <- st.instructions + seg;
                 ev_range lo hi (st.instructions - seg);
                 st.n_reads <- st.n_reads + dr;
@@ -397,20 +317,20 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
                 apply_moves ()
           | true, false ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:true;
                 st.instructions <- st.instructions + seg;
                 ev_range lo hi (st.instructions - seg);
                 st.n_reads <- st.n_reads + dr;
                 st.n_writes <- st.n_writes + dw
           | false, true ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:true;
                 st.instructions <- st.instructions + seg;
                 ev_range lo hi (st.instructions - seg);
                 apply_moves ()
           | false, false ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:true;
                 st.instructions <- st.instructions + seg;
                 ev_range lo hi (st.instructions - seg)
         end
@@ -418,25 +338,25 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           match (mets, nm > 0) with
           | true, true ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:false;
                 st.instructions <- st.instructions + seg;
                 st.n_reads <- st.n_reads + dr;
                 st.n_writes <- st.n_writes + dw;
                 apply_moves ()
           | true, false ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:false;
                 st.instructions <- st.instructions + seg;
                 st.n_reads <- st.n_reads + dr;
                 st.n_writes <- st.n_writes + dw
           | false, true ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:false;
                 st.instructions <- st.instructions + seg;
                 apply_moves ()
           | false, false ->
               fun () ->
-                if st.instructions + seg > fuel then ignore (do_deopt rd);
+                if st.instructions + seg > fuel then out_of_fuel lo ~emit:false;
                 st.instructions <- st.instructions + seg
       in
       match ins.kind with
@@ -595,11 +515,9 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
           let nargs = Array.length ci.ci_args in
           let agets = Array.map getv ci.ci_args in
           let aslots = Array.init nargs (fun i -> cal.map.(i)) in
-          let sus = resolve_frame al ci.ci_resume ci.ci_rtags ci.ci_rflush in
           let dslot = slot ci.ci_dst in
           let fslots = cf.frame_slots in
           let cfid = ci.ci_fid in
-          let ret_pc = ci.ci_ret_pc in
           let fentry = cf.entry in
           fun () ->
             tick ();
@@ -620,13 +538,10 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
             let d = st.depth in
             if d = Array.length st.call_ret then VS.grow_call_records st;
             if d >= Array.length xs.c_rb then grow_crec ();
-            st.call_ret.(d) <- ret_pc;
             st.call_base.(d) <- st.frame_base;
-            st.call_fid.(d) <- cfid;
             xs.c_rb.(d) <- xs.rb;
             xs.c_ret_ir.(d) <- next;
             xs.c_dst.(d) <- dslot;
-            xs.c_sus.(d) <- sus;
             st.depth <- d + 1;
             let base = st.stack_top in
             VS.ensure_mem st (base + fslots);
@@ -671,10 +586,10 @@ let run_ir ~hooked ~trace_locals ?prune ?clock ?obs
   in
   let steps = Array.mapi build lw.instrs in
   (* The final drain runs on every exit path: halt ([VS.Halted] from
-     [HaltI]), deopt-assisted completion (drained at [do_deopt], so the
-     finally is a no-op), and traps unwinding out of an effect — the
-     buffered prefix of the stream must reach the hooks before the
-     caller observes the outcome. *)
+     [HaltI]) and traps unwinding out of an effect or out of fuel — the
+     buffered prefix of the stream must reach the hooks, and a clock
+     consumer's clock the run's retired count, before the caller
+     observes the outcome. *)
   let exit_value =
     Fun.protect ~finally:flush_ring (fun () ->
         try
@@ -710,5 +625,4 @@ let exec ~hooked ?(trace_locals = true) ?prune ?clock ?obs (hooks : Vm.Hooks.t)
     | None -> reference ()
     | Some lw when needs_tags lw -> reference ()
     | Some lw ->
-        run_ir ~hooked ~trace_locals ?prune ?clock ?obs hooks ?fuel ?max_depth
-          lw
+        run_ir ~hooked ?clock ?obs hooks ?fuel ?max_depth lw

@@ -10,9 +10,8 @@
    - [0 .. nl-1]: the scalar frame slots ("L registers"), parameters
      first (parameter [i] is vreg [i]), then the other named slots in
      slot order — the canonical, always-current value of each local.
-     Frame memory is only synchronized on deoptimization. Local-array
-     cells get no register: they live in frame memory, reached through
-     [RefL] operands.
+     Frame memory never holds them. Local-array cells get no register:
+     they live in frame memory, reached through [RefL] operands.
    - [nl .. nl+maxd-1]: the canonical stack registers ("S registers") —
      at every block boundary the operand stack of depth [d] lives in
      S_0..S_{d-1}, which is what makes the symbolic stacks of
@@ -21,14 +20,16 @@
 
    Hook transparency is carried by {e tick segments}: every instruction
    that can fire an event, trap, or transfer control owns a contiguous
-   range [seg_lo..seg_hi] of original stack pcs. Its closure first gates
-   on fuel (deoptimizing to the switch interpreter if the segment does
-   not fit), then advances the instruction clock by the segment length,
-   fires [on_instr] per covered pc, and only then performs its effect —
-   so the event stream is byte-identical to the reference engine. Pure
-   instructions (register moves, proven-integer arithmetic, pruned
-   global loads) own no pcs; the instructions they were folded out of
-   are covered positionally by the next segment.
+   range [seg_lo..seg_hi] of original stack pcs, and sits at its last
+   one ([epc = seg_hi]). Its closure first gates on fuel, then advances
+   the instruction clock by the segment length, fires [on_instr] per
+   covered pc, and only then performs its effect — so the event stream
+   is byte-identical to the reference engine. Pure instructions
+   (register moves, proven-integer arithmetic, pruned global loads) own
+   no pcs; the instructions they were folded out of are covered
+   positionally by the next segment. Every pc of a segment but the last
+   is therefore a clock tick and nothing else, which is what lets
+   {!Exec} stop a run out of fuel at any pc of a segment by itself.
 
    Operand positions that the reference engine tag-checks carry the
    statically known tag of the value ([ty_int] elides the check,
@@ -41,22 +42,12 @@ type operand =
   | RefL of int * int
       (** frame-relative array ref: [pack_ref (frame_base+off) len] *)
 
-(* Static tag knowledge, used to elide runtime tag checks and to
-   materialize tagged stack slots on deoptimization. *)
+(* Static tag knowledge, used to elide runtime tag checks. *)
 let ty_int = 'i'
 let ty_ref = 'r'
 let ty_unk = '?'
 
 type move = { m_dst : int; m_src : operand; m_ty : char }
-
-type deopt = {
-  d_pc : int;  (** stack pc execution resumes at *)
-  d_stack : operand array;  (** operand stack at [d_pc], bottom to top *)
-  d_tags : string;  (** static tag per stack entry *)
-  d_flush : (int * int * char) array;
-      (** (frame slot, L-vreg, tag) triples: locals live at [d_pc],
-          flushed from registers to frame memory before the hand-off *)
-}
 
 type call_info = {
   ci_fid : int;
@@ -65,12 +56,6 @@ type call_info = {
           is the caller's array) and written to callee vregs [0..n-1] *)
   ci_atags : string;  (** static tag per argument *)
   ci_dst : int;  (** caller vreg receiving the return value *)
-  ci_ret_pc : int;  (** stack return pc (call pc + 1) *)
-  ci_resume : operand array;
-      (** the caller's symbolic stack below the arguments — rebuilt on a
-          deoptimization that fires while this frame is suspended *)
-  ci_rtags : string;
-  ci_rflush : (int * int * char) array;  (** locals live at [ci_ret_pc] *)
 }
 
 type kind =
@@ -125,7 +110,6 @@ type t = {
   moves : move array;  (** applied after the fuel gate (canonicalization) *)
   d_reads : int;  (** reference [n_reads] delta across the segment *)
   d_writes : int;
-  deopt : deopt option;  (** [Some] iff the instruction is segmented *)
 }
 
 let segmented i = i.seg_lo <= i.seg_hi

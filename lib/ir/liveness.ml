@@ -2,10 +2,10 @@
 
    Instruction-granular backward dataflow: successors are derived
    directly from the terminators (everything else falls through), and
-   the deoptimization metadata counts as uses — a register named by a
-   deopt snapshot, flush set, or call suspension record must survive to
-   that instruction even if no fast-path instruction reads it, because
-   the hand-off to the switch interpreter reads it. *)
+   a register is used only where an instruction or one of its
+   canonicalization moves reads it. Nothing outside the IR reads a
+   register — a run that traps, out of fuel or otherwise, ends there —
+   so a value lives exactly as long as the fast path needs it. *)
 
 open Instr
 
@@ -40,18 +40,10 @@ let instr_uses (ins : Instr.t) =
   | PrintI { v; _ } -> op v
   | JmpI _ | EndB -> ()
   | BrI { c; _ } -> op c
-  | CallI ci ->
-      Array.iter op ci.ci_args;
-      Array.iter op ci.ci_resume;
-      Array.iter (fun (_, vr, _) -> acc := vr :: !acc) ci.ci_rflush
+  | CallI ci -> Array.iter op ci.ci_args
   | RetI { v; _ } -> op v
   | HaltI { v; _ } -> op v);
   Array.iter (fun m -> op m.m_src) ins.moves;
-  (match ins.deopt with
-  | Some d ->
-      Array.iter op d.d_stack;
-      Array.iter (fun (_, vr, _) -> acc := vr :: !acc) d.d_flush
-  | None -> ());
   !acc
 
 let instr_defs (ins : Instr.t) =

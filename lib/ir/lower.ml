@@ -64,9 +64,8 @@ let stack_effect (funcs : Vm.Program.func_info array) (i : Vm.Instr.t) =
    [i] ({!Exec}'s [CallI] writes argument [i] there, and {!Regalloc}
    models the parameters' entry interference on vregs [0..nparams-1]);
    the other named slots follow in slot order. Everything sized by the L
-   registers (the slot types, slot liveness, the flush sets and the
-   interference matrix) then grows with the code, never with the extent
-   of a local array. *)
+   registers (the slot types and the interference matrix) then grows
+   with the code, never with the extent of a local array. *)
 
 type lregs = {
   slot_of : int array;  (** L vreg -> frame slot *)
@@ -278,53 +277,6 @@ let analyze_types (prog : Vm.Program.t) =
   done;
   ts
 
-(* ---- stack-level liveness of the L registers ---------------------------
-
-   [live.(pc).(v)] = L register [v]'s slot is read (via LoadLocal)
-   before being overwritten on some path from [pc]. Used for the deopt
-   flush sets: only live slots need their register value synchronized
-   into frame memory before handing off to the switch interpreter —
-   dead slots are rewritten before the reference could read them. *)
-
-let local_liveness (prog : Vm.Program.t) (f : Vm.Program.func_info)
-    (cfg : Cfa.Cfg.t) (lr : lregs) =
-  let code = prog.code in
-  let n = f.code_end - f.entry in
-  let ns = Array.length lr.slot_of in
-  let live = Array.init n (fun _ -> Bytes.make ns '\000') in
-  let blocks = cfg.Cfa.Cfg.blocks in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = Array.length blocks - 1 downto 0 do
-      let b = blocks.(bi) in
-      (* live-out = union of successors' live-in *)
-      let out = Bytes.make ns '\000' in
-      List.iter
-        (fun s ->
-          let si = blocks.(s).Cfa.Cfg.first - f.entry in
-          for k = 0 to ns - 1 do
-            if Bytes.get live.(si) k = '\001' then Bytes.set out k '\001'
-          done)
-        b.succs;
-      let cur = ref out in
-      for pc = b.last downto b.first do
-        let nxt = Bytes.copy !cur in
-        (match code.(pc) with
-        | Vm.Instr.LoadLocal s -> Bytes.set nxt (vreg lr s) '\001'
-        | StoreLocal s -> Bytes.set nxt (vreg lr s) '\000'
-        | _ -> ());
-        let idx = pc - f.entry in
-        if not (Bytes.equal nxt live.(idx)) then begin
-          Bytes.blit nxt 0 live.(idx) 0 ns;
-          changed := true
-        end;
-        cur := live.(idx)
-      done
-    done
-  done;
-  live
-
 (* ---- per-function emission --------------------------------------------- *)
 
 type femit = {
@@ -340,16 +292,6 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
   let fst_ = ts.fs.(f.fid) in
   let cfg = fst_.cfg in
   let lr = ts.lregs.(f.fid) and tys = ts.slot_ty.(f.fid) in
-  let live = local_liveness prog f cfg lr in
-  let flush_at pc =
-    let idx = pc - f.entry in
-    let acc = ref [] in
-    for v = Array.length lr.slot_of - 1 downto 0 do
-      if Bytes.get live.(idx) v = '\001' then
-        acc := (lr.slot_of.(v), v, tys.(v)) :: !acc
-    done;
-    Array.of_list !acc
-  in
   let sbase = Array.length lr.slot_of in
   let em =
     {
@@ -392,7 +334,6 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
                   fst_.entry_t.(b.bid)))
         in
         let sym = ref entry in
-        let snapshot = ref entry in
         let seg_lo = ref b.first in
         let pop () =
           match !sym with
@@ -412,17 +353,7 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
               moves = [||];
               d_reads = 0;
               d_writes = 0;
-              deopt = None;
             }
-        in
-        let mk_deopt lo =
-          let entries = Array.of_list (List.rev !snapshot) in
-          {
-            d_pc = lo;
-            d_stack = Array.map fst entries;
-            d_tags = String.init (Array.length entries) (fun i -> snd entries.(i));
-            d_flush = flush_at lo;
-          }
         in
         let emit_seg ?(moves = [||]) kind ~pc =
           let lo = !seg_lo in
@@ -436,10 +367,8 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
               moves;
               d_reads = dr;
               d_writes = dw;
-              deopt = Some (mk_deopt lo);
             };
-          seg_lo := pc + 1;
-          snapshot := !sym
+          seg_lo := pc + 1
         in
         let materialize v ~pc =
           if List.exists (fun (o, _) -> o = Reg v) !sym then begin
@@ -600,7 +529,6 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
               (* head of [sym] is the last argument; [take] rebuilds
                  first-param-first order *)
               let args = Array.of_list (take callee.nparams []) in
-              let resume = Array.of_list (List.rev !sym) in
               let dst = newtmp () in
               let ci =
                 {
@@ -609,11 +537,6 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
                   ci_atags =
                     String.init (Array.length args) (fun i -> snd args.(i));
                   ci_dst = dst;
-                  ci_ret_pc = pc + 1;
-                  ci_resume = Array.map fst resume;
-                  ci_rtags =
-                    String.init (Array.length resume) (fun i -> snd resume.(i));
-                  ci_rflush = flush_at (pc + 1);
                 }
               in
               push (Reg dst, ts.fret.(fid));
@@ -644,7 +567,6 @@ let lower_function (prog : Vm.Program.t) (ts : tstate)
                   moves;
                   d_reads = 0;
                   d_writes = 0;
-                  deopt = None;
                 })
       end)
     cfg.Cfa.Cfg.blocks;
@@ -676,24 +598,13 @@ let lower ~hooked ~pruned (prog : Vm.Program.t) =
     let preamble_call =
       {
         kind =
-          CallI
-            {
-              ci_fid = main;
-              ci_args = [||];
-              ci_atags = "";
-              ci_dst = 0;
-              ci_ret_pc = 1;
-              ci_resume = [||];
-              ci_rtags = "";
-              ci_rflush = [||];
-            };
+          CallI { ci_fid = main; ci_args = [||]; ci_atags = ""; ci_dst = 0 };
         epc = 0;
         seg_lo = 0;
         seg_hi = 0;
         moves = [||];
         d_reads = 0;
         d_writes = 0;
-        deopt = Some { d_pc = 0; d_stack = [||]; d_tags = ""; d_flush = [||] };
       }
     in
     let preamble_halt =
@@ -705,14 +616,6 @@ let lower ~hooked ~pruned (prog : Vm.Program.t) =
         moves = [||];
         d_reads = 0;
         d_writes = 0;
-        deopt =
-          Some
-            {
-              d_pc = 1;
-              d_stack = [| Reg 0 |];
-              d_tags = String.make 1 ts.fret.(main);
-              d_flush = [||];
-            };
       }
     in
     let all = Array.make total preamble_call in

@@ -5,8 +5,8 @@
    shadow lookups, Table II attribution. The ring moves that work out
    of the per-access path: {!Exec} appends each event as three packed
    ints into a flat buffer and the profiler-facing hooks only run when
-   the ring drains — at capacity, at a deoptimization hand-off, and at
-   run exit (halt or trap).
+   the ring drains — at capacity and at run exit (halt or trap, "out of
+   fuel" included).
 
    Ordering is preserved by construction: the buffer is strictly FIFO
    and the drain replays every event, in order, into the unmodified
@@ -209,13 +209,12 @@ let[@inline] flush_pending t =
     t.n <- t.n + 1
   end
 
-(* External drain, used at every transition out of ring delivery (fuel
-   deoptimization, run exit): besides replaying the buffer it must
-   leave the consumer's clock at [now], the engine's current retired
-   count — elided segments may have advanced it past the last buffered
-   event's stamp, and whatever runs next (direct-delivery resume, the
-   profiler's finisher popping surviving constructs) reads the clock
-   directly. *)
+(* External drain, used once at run exit (halt or trap): besides
+   replaying the buffer it must leave the consumer's clock at [now], the
+   engine's current retired count — elided segments may have advanced
+   it past the last buffered event's stamp, and whatever runs next (the
+   profiler's finisher popping surviving constructs, a consumer reading
+   its clock after a trap) reads the clock directly. *)
 let drain t ~now =
   flush_pending t;
   drain_buf t;

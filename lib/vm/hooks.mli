@@ -14,8 +14,7 @@
     Both engines deliver this exact sequence, but not necessarily at the
     moment each instruction retires: the register engine ([Ir.Exec])
     appends events to a ring and replays them, in order, when the ring
-    drains (at capacity, at a fuel hand-off to the switch loop, and at
-    run exit). A hook must therefore not inspect machine state; what it
+    drains (at capacity and at run exit). A hook must therefore not inspect machine state; what it
     sees is its arguments. A consumer that supplies the bulk clock sinks
     of [Ir.Engine.run_hooked] may in addition receive no [on_instr] for
     segments it declared uninteresting — see [Ir.Engine]. *)

@@ -25,18 +25,15 @@ let engine_to_string = function
   | Switch -> "switch"
   | Register -> "register"
 
-(* The reference switch loop, continuable from any machine state: one
-   [match] per executed instruction, [hooked]/[trace_locals] tested at
-   run time. Kept as the semantic baseline the register-IR backend
-   ([Ir.Exec]) is differentially tested against — see
-   test/test_engines.ml. The register backend also
-   re-enters it mid-run (via {!switch_resume}) when fuel runs out inside
-   a tick segment, so "out of fuel" traps at the exact constituent pc. *)
+(* The reference switch loop: one [match] per executed instruction,
+   [hooked]/[trace_locals] tested at run time. Kept as the semantic
+   baseline the register-IR backend ([Ir.Exec]) is differentially tested
+   against — see test/test_engines.ml. *)
 let switch_loop ~hooked ~hook_locals ~pruned (hooks : Hooks.t) ~fuel
-    (st : state) (prog : Program.t) pc0 =
+    (st : state) (prog : Program.t) =
   let code = prog.code in
   let funcs = prog.funcs in
-  let pc = ref pc0 in
+  let pc = ref 0 in
   let exit_value =
     try
      while true do
@@ -197,29 +194,21 @@ let switch_loop ~hooked ~hook_locals ~pruned (hooks : Hooks.t) ~fuel
   in
   exit_value
 
-let resolve_prune ~hook_locals prune =
-  (* Prune verdicts model the default event set only: under the -O0
-     local-tracing model, frame slots form edges the mask never
-     considered, so the mask is dropped rather than trusted. *)
-  let prune = if hook_locals then None else prune in
-  match prune with
-  | Some m -> fun p -> Array.unsafe_get m p
-  | None -> fun _ -> false
-
 let exec_switch ~hooked ?(trace_locals = true) ?prune (hooks : Hooks.t) ?fuel
     ?max_depth (prog : Program.t) =
   let hook_locals = hooked && trace_locals in
-  let pruned = resolve_prune ~hook_locals prune in
+  (* Prune verdicts model the default event set only: under the -O0
+     local-tracing model, frame slots form edges the mask never
+     considered, so the mask is dropped rather than trusted. *)
+  let pruned =
+    match prune with
+    | Some m when not hook_locals -> fun p -> Array.unsafe_get m p
+    | _ -> fun _ -> false
+  in
   let st = Vmstate.create ?max_depth prog in
   let fuel = match fuel with Some f -> f | None -> max_int in
   Vmstate.finish st
-    (switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog 0)
-
-let switch_resume ~hooked ?(trace_locals = true) ?prune (hooks : Hooks.t)
-    ~fuel st (prog : Program.t) ~pc =
-  let hook_locals = hooked && trace_locals in
-  let pruned = resolve_prune ~hook_locals prune in
-  switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog pc
+    (switch_loop ~hooked ~hook_locals ~pruned hooks ~fuel st prog)
 
 let exec ?(engine = Switch) ~hooked ?trace_locals ?prune (hooks : Hooks.t)
     ?fuel ?max_depth prog =

@@ -49,24 +49,6 @@ type engine = Switch | Register
 
 val engine_to_string : engine -> string
 
-val switch_resume :
-  hooked:bool ->
-  ?trace_locals:bool ->
-  ?prune:bool array ->
-  Hooks.t ->
-  fuel:int ->
-  Vmstate.state ->
-  Program.t ->
-  pc:int ->
-  int
-(** Continues the reference switch loop from an existing machine state at
-    [pc] and runs to completion, returning [main]'s exit value. This is
-    the register backend's deoptimization path: when fuel would expire
-    inside a tick segment, [Ir.Exec] materializes the architectural state
-    (operand stack, frame slots) and hands off here so the "out of fuel"
-    trap — or any nearer trap — fires at exactly the reference pc.
-    @raise Trap as {!run}. *)
-
 val exec :
   ?engine:engine ->
   hooked:bool ->

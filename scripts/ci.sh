@@ -80,6 +80,39 @@ timeout 10 dune exec --no-build -- alchemist run --engine=switch \
 cmp "$tmpdir/local-register.out" "$tmpdir/local-switch.out"
 echo "array extents: 2^24-cell global verified, 2^18-cell local runs as on switch"
 
+# Out of fuel: the default engine stops a run by itself, mid-segment
+# and mid-call, so `run --fuel=F` must print what the switch interpreter
+# prints (stdout and stderr) and exit with its status at every budget,
+# a negative one included (trap at pc 0, nothing retired). One profile
+# run with a budget takes the hooked path through the CLI; the event
+# stream up to the trap is compared in test/test_engines.ml.
+for spec in 130.li:40 par2:8 delaunay:500; do
+  for fuel in -1 0 1 7 1000 12345; do
+    for engine in register switch; do
+      status=0
+      dune exec --no-build -- alchemist run "workload:$spec" --fuel="$fuel" \
+        --engine="$engine" > "$tmpdir/fuel-$engine.out" \
+        2> "$tmpdir/fuel-$engine.err" || status=$?
+      echo "exit $status" >> "$tmpdir/fuel-$engine.out"
+    done
+    if ! cmp "$tmpdir/fuel-register.out" "$tmpdir/fuel-switch.out" ||
+       ! cmp "$tmpdir/fuel-register.err" "$tmpdir/fuel-switch.err"; then
+      echo "run workload:$spec --fuel=$fuel diverged from switch" >&2
+      exit 1
+    fi
+  done
+done
+for engine in register switch; do
+  status=0
+  dune exec --no-build -- alchemist profile workload:par2:8 --fuel=1000 \
+    --engine="$engine" > "$tmpdir/fuel-$engine.out" \
+    2> "$tmpdir/fuel-$engine.err" || status=$?
+  echo "exit $status" >> "$tmpdir/fuel-$engine.out"
+done
+cmp "$tmpdir/fuel-register.out" "$tmpdir/fuel-switch.out"
+cmp "$tmpdir/fuel-register.err" "$tmpdir/fuel-switch.err"
+echo "fuel: run and profile stop where the switch interpreter stops"
+
 # Explore goldens: `explore` must print exactly the transcripts saved
 # in test/golden. par2, aes and delaunay were recorded when every
 # simulated candidate still got an instrumented run of its own; bzip2

@@ -3,9 +3,9 @@
    agree on everything observable — results, metric counters, the full
    hook-event stream (pcs, addresses, ordering), the thinned stream a
    clock consumer sees, canonical profiles, telemetry, and trap
-   (message, pc) pairs, including at every fuel level, where tick
-   segments must hand the machine back to the reference loop
-   mid-segment. *)
+   (message, pc) pairs, including at every fuel level, where the
+   register engine must stop mid-segment by itself at the reference pc
+   after the reference stream. *)
 
 module Machine = Vm.Machine
 module Profiler = Alchemist.Profiler
@@ -62,7 +62,17 @@ let test_register_lowering_coverage () =
               (Array.length lw.Ir.Lower.instrs > 2);
             Alcotest.(check bool)
               (Printf.sprintf "%s (hooked=%b): every tag proven" name hooked)
-              false (Ir.Exec.needs_tags lw)
+              false (Ir.Exec.needs_tags lw);
+            (* The out-of-fuel path rests on this: a segment's events,
+               traps and effect sit at its last pc, so every earlier pc
+               of the segment is a clock tick only. *)
+            Array.iteri
+              (fun gi (ins : Ir.Instr.t) ->
+                if Ir.Instr.segmented ins && ins.epc <> ins.seg_hi then
+                  Alcotest.failf "%s (hooked=%b): ir%d sits at pc %d, not at \
+                                  its segment's last pc %d"
+                    name hooked gi ins.epc ins.seg_hi)
+              lw.Ir.Lower.instrs
         | None ->
             Alcotest.failf "%s: register lowering bailed (hooked=%b)" name
               hooked)
@@ -77,7 +87,8 @@ let test_register_lowering_coverage () =
 (* Serialize every hook invocation; engines must produce byte-identical
    logs. This is stronger than comparing profiles: it pins the ordering
    and the original pcs that register tick segments and the ring's
-   batched delivery are required to preserve. *)
+   batched delivery are required to preserve. A trap ends the log with
+   its message and pc, after every event delivered before it. *)
 let event_log ?(fuel = fuel) ~engine ~trace_locals prog =
   let buf = Buffer.create 65536 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -100,17 +111,10 @@ let event_log ?(fuel = fuel) ~engine ~trace_locals prog =
       on_frame_release = (fun ~base ~size -> p "f %d %d\n" base size);
     }
   in
-  let r = Ir.Engine.run_hooked ~engine ~trace_locals ~fuel hooks prog in
-  p "exit %d %d\n" r.exit_value r.instructions;
+  (match Ir.Engine.run_hooked ~engine ~trace_locals ~fuel hooks prog with
+  | r -> p "exit %d %d\n" r.exit_value r.instructions
+  | exception Machine.Trap (msg, pc) -> p "trap %S at %d\n" msg pc);
   Buffer.contents buf
-
-let or_trap f =
-  match f () with
-  | log -> log
-  | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
-
-let event_log_or_trap ?fuel ~engine ~trace_locals prog =
-  or_trap (fun () -> event_log ?fuel ~engine ~trace_locals prog)
 
 (* The thinned stream of the Ir.Engine.clock contract. The consumer keeps
    its own clock and cares about [on_instr] only at "interesting" pcs
@@ -118,7 +122,7 @@ let event_log_or_trap ?fuel ~engine ~trace_locals prog =
    sees. Given a clock, the register engine may elide every segment
    without an interesting pc and restore the clock from event stamps
    instead, so the log must equal the switch run's per-instruction log
-   exactly — clock values included. *)
+   exactly — clock values included, also where a trap ends it. *)
 let clock_log ?(fuel = fuel) ~engine ~trace_locals prog =
   let buf = Buffer.create 65536 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -154,12 +158,10 @@ let clock_log ?(fuel = fuel) ~engine ~trace_locals prog =
       set_time = (fun t -> now := t);
     }
   in
-  let r = Ir.Engine.run_hooked ~engine ~trace_locals ~clock ~fuel hooks prog in
-  p "exit %d %d @%d\n" r.exit_value r.instructions !now;
+  (match Ir.Engine.run_hooked ~engine ~trace_locals ~clock ~fuel hooks prog with
+  | r -> p "exit %d %d @%d\n" r.exit_value r.instructions !now
+  | exception Machine.Trap (msg, pc) -> p "trap %S at %d @%d\n" msg pc !now);
   Buffer.contents buf
-
-let clock_log_or_trap ?fuel ~engine ~trace_locals prog =
-  or_trap (fun () -> clock_log ?fuel ~engine ~trace_locals prog)
 
 let check_event_stream name prog =
   List.iter
@@ -345,10 +347,9 @@ let run_outcome ~engine ?(trace_locals = false) ~fuel prog =
   | r -> Printf.sprintf "exit %d instrs %d" r.exit_value r.instructions
   | exception Machine.Trap (msg, pc) -> Printf.sprintf "trap %S at %d" msg pc
 
-(* Every fuel level from 0 to completion: the register engine must
-   deoptimize — rebuild the architectural stack-machine state and resume
-   in the switch loop — at every tick-segment offset, and trap "out of
-   fuel" at exactly the reference pc. *)
+(* Every fuel level from -1 to completion: the register engine must stop
+   at every tick-segment offset, and before the first instruction, and
+   trap "out of fuel" at exactly the reference pc. *)
 let test_fuel_sweep () =
   let src =
     "int g[6];\n\
@@ -362,7 +363,7 @@ let test_fuel_sweep () =
   in
   let prog = Vm.Compile.compile_source src in
   let total = (Machine.run ~engine:Switch prog).instructions in
-  for fuel = 0 to total do
+  for fuel = -1 to total do
     let sw = run_outcome ~engine:Switch ~fuel prog in
     Alcotest.(check string)
       (Printf.sprintf "fuel=%d register" fuel)
@@ -423,12 +424,13 @@ let test_ring_event_stream () =
     fig4_snippets
 
 (* Fuel-boundary regression: single-step fuel across every tick-segment
-   offset. A deoptimization fires mid-ring on most levels, and the
-   buffered events must reach the hooks BEFORE the switch resume
-   delivers its own — flushing after the stack rebuild (or not at all)
-   reorders or drops the tail of the stream — and a clock consumer's
-   clock must be where the resume expects it. Byte-compare the full
-   event log and the thinned clock log at every fuel level. *)
+   offset, from -1 to completion. Fuel runs out mid-segment on most
+   levels: the segment's retired prefix must reach the hooks as
+   [on_instr]s after everything the ring holds — dropping it, or
+   draining before it, loses or reorders the tail of the stream — and a
+   clock consumer's clock must end where the reference leaves it.
+   Byte-compare the full event log and the thinned clock log, each up
+   to and including the trap, at every fuel level. *)
 let test_fuel_ring_sweep () =
   let src =
     "int g[6];\n\
@@ -442,15 +444,15 @@ let test_fuel_ring_sweep () =
   in
   let prog = Vm.Compile.compile_source src in
   let total = (Machine.run ~engine:Switch prog).instructions in
-  for fuel = 0 to total do
+  for fuel = -1 to total do
     Alcotest.(check string)
       (Printf.sprintf "fuel=%d event stream" fuel)
-      (event_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog)
-      (event_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog);
+      (event_log ~fuel ~engine:Switch ~trace_locals:false prog)
+      (event_log ~fuel ~engine:Register ~trace_locals:false prog);
     Alcotest.(check string)
       (Printf.sprintf "fuel=%d clock stream" fuel)
-      (clock_log_or_trap ~fuel ~engine:Switch ~trace_locals:false prog)
-      (clock_log_or_trap ~fuel ~engine:Register ~trace_locals:false prog)
+      (clock_log ~fuel ~engine:Switch ~trace_locals:false prog)
+      (clock_log ~fuel ~engine:Register ~trace_locals:false prog)
   done
 
 (* Alloc/free churn: frames with local arrays released over and over,
@@ -594,10 +596,13 @@ let test_local_array_calls () =
     local_array_cases
 
 (* Set-up cost follows the code, not the data: a local array's cells get
-   no virtual register, so a 16,384-cell array adds nothing to slot
-   liveness, the flush sets or the interference matrix (with a register
-   per cell, the matrix alone would be 16,384^2 bytes). Allocation
-   counts are deterministic; nothing here is timed. *)
+   no virtual register, so a 16,384-cell array adds nothing to the slot
+   types or the interference matrix (with a register per cell, the
+   matrix alone would be 16,384^2 bytes). Allocation counts are
+   deterministic once the minor heap is emptied before each reading
+   ([Gc.allocated_bytes] counts a word still in the minor heap
+   differently from one a collection has moved); nothing here is
+   timed. *)
 let test_lowering_extent_independent () =
   let src =
     "int sum(int a[], int n) {\n\
@@ -612,6 +617,7 @@ let test_lowering_extent_independent () =
      }"
   in
   let prog = Vm.Compile.compile_source src in
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   (match Ir.Lower.lower ~hooked:true ~pruned:(fun _ -> false) prog with
   | Some lw ->
@@ -619,6 +625,7 @@ let test_lowering_extent_independent () =
         (Sys.opaque_identity
            (Array.map (Ir.Regalloc.allocate lw) lw.Ir.Lower.funcs))
   | None -> Alcotest.fail "register lowering bailed");
+  Gc.minor ();
   let bytes = Gc.allocated_bytes () -. a0 in
   if bytes >= 2e6 then
     Alcotest.failf "lowering and allocation took %.0f bytes (limit 2 MB)"
@@ -629,21 +636,45 @@ let test_lowering_extent_independent () =
 
 (* --- random program differential ---------------------------------------- *)
 
+(* The differential's budget, which keeps the logs small. *)
+let qfuel = 200_000
+
+(* Instructions the switch interpreter retires on [prog] within the
+   budget, a trapping one included. *)
+let retired prog =
+  let n = ref 0 in
+  let hooks = { Vm.Hooks.noop with on_instr = (fun ~pc:_ -> incr n) } in
+  (try ignore (Machine.run_hooked ~fuel:qfuel hooks prog)
+   with Machine.Trap _ -> ());
+  !n
+
+(* Each random program runs twice on both engines: within the budget,
+   and at a fuel drawn from [-1, retired], so "out of fuel" lands
+   before the first instruction, inside calls and at segment
+   boundaries. The clock log and both event logs, each up to and
+   including a trap, must agree. *)
 let test_qcheck_differential () =
+  let fuel_of prog seed = (seed mod (retired prog + 2)) - 1 in
+  let print (p, seed) =
+    Printf.sprintf "%s\nfuel=%d"
+      (Minic.Pretty.program_to_string p)
+      (fuel_of (Vm.Compile.compile p) seed)
+  in
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"both engines on random programs" ~count:60
-       Testgen.arbitrary_program (fun p ->
+       (QCheck.make ~print
+          QCheck.Gen.(pair Testgen.gen_program (int_bound 1_000_000)))
+       (fun (p, seed) ->
          let prog = Vm.Compile.compile p in
-         (* A tight budget keeps the logs small and makes "out of fuel"
-            itself part of the differential surface. *)
-         let out engine =
-           clock_log_or_trap ~fuel:200_000 ~engine ~trace_locals:false prog
+         let out ~fuel engine =
+           clock_log ~fuel ~engine ~trace_locals:false prog
            :: List.map
-                (fun trace_locals ->
-                  event_log_or_trap ~fuel:200_000 ~engine ~trace_locals prog)
+                (fun trace_locals -> event_log ~fuel ~engine ~trace_locals prog)
                 [ false; true ]
          in
-         out Machine.Switch = out Machine.Register))
+         List.for_all
+           (fun fuel -> out ~fuel Machine.Switch = out ~fuel Machine.Register)
+           [ qfuel; fuel_of prog seed ]))
 
 (* Random configuration matrix: any (engine, fuel bound, prune mask)
    must produce the profile of the reference configuration byte-for-byte
